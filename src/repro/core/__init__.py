@@ -8,6 +8,7 @@ from repro.core.batch import (
     SplitContext,
     split_cache_key,
     supports_batched_prediction,
+    supports_cross_split_prediction,
 )
 from repro.core.engine import (
     DEFAULT_METHOD,
@@ -89,6 +90,7 @@ __all__ = [
     "run_cross_validation",
     "split_cache_key",
     "supports_batched_prediction",
+    "supports_cross_split_prediction",
     "select_farthest_point",
     "select_k_medoids",
     "select_random",

@@ -9,18 +9,13 @@ Kernel granularity (rather than op-by-op indirection) keeps the NumPy
 reference path free of per-call dispatch overhead and gives alternative
 array libraries enough work per call to amortise their own.
 
-Two backends ship:
-
-* :class:`NumpyBackend` — the reference implementation, always available.
-  Its kernels are the historical inner loops moved verbatim, so results
-  are bit-identical to the pre-backend code (the equivalence suite pins
-  this).
-* :class:`TorchBackend` — an optional PyTorch port (float64, same
-  operation order).  It is opt-in via configuration or the
-  ``REPRO_BACKEND`` environment variable and degrades cleanly: when torch
-  is not importable, :func:`resolve_backend` warns once and falls back to
-  the NumPy backend, so a ``REPRO_BACKEND=torch`` run never fails on a
-  box without the dependency.
+One backend ships: :class:`NumpyBackend`, the reference implementation,
+always available.  Its MLP kernel is the lockstep ragged SGD pass
+described on :meth:`ArrayBackend.mlp_sgd`; every network in the stack
+follows bit for bit the trajectory it would follow if trained alone (the
+equivalence suite pins this).  Further backends register in
+:data:`BACKENDS`; one whose dependency is missing makes
+:func:`resolve_backend` warn once and fall back to NumPy.
 
 Selection order for every kernel consumer: an explicit ``backend=``
 argument (name or instance) wins, otherwise ``REPRO_BACKEND``, otherwise
@@ -33,12 +28,11 @@ Examples::
     >>> resolve_backend("numpy") is resolve_backend("numpy")   # cached singleton
     True
     >>> sorted(BACKENDS)
-    ['numpy', 'torch']
+    ['numpy']
 """
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import warnings
 from typing import Protocol, runtime_checkable
@@ -50,13 +44,17 @@ __all__ = [
     "BACKENDS",
     "BACKEND_ENV_VAR",
     "NumpyBackend",
-    "TorchBackend",
     "available_backends",
     "resolve_backend",
 ]
 
 #: Environment variable consulted when no backend is named explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
+
+#: Bytes of training samples the NumPy SGD kernel gathers in one go.  Small
+#: enough to stay out of the allocator's retained heap when the service runs
+#: the kernel on several executor threads.
+_SGD_CHUNK_BYTES = 1 << 16
 
 
 @runtime_checkable
@@ -83,15 +81,21 @@ class ArrayBackend(Protocol):
         learning_rate: float,
         momentum: float,
         gradient_clip: float,
+        sample_counts: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Run the stacked-network SGD loop; return the trained weights.
+        """Run the ragged lockstep SGD pass; return the trained weights.
 
-        ``x_samples`` is ``(samples, networks, features)`` sample-major
-        training data, ``y_samples`` is ``(samples, networks)``;
-        ``shuffle_orders`` is ``(epochs, samples)`` — one precomputed
-        visiting order per epoch (the RNG draws stay in the caller so the
-        stream is backend-independent).  The initial weight tensors are
-        consumed and must not be relied on afterwards.
+        ``x_samples`` is ``(networks, samples, features)`` training data
+        padded to the longest sample count, ``y_samples`` is ``(networks,
+        samples)``.  ``sample_counts`` gives each network's own sample
+        count; the stack must be ordered by it, descending.
+        ``shuffle_orders`` is ``(epochs, samples, orders)`` with one order
+        per distinct sample count, largest first: a network with ``c``
+        samples visits ``shuffle_orders[e, :c, g]`` in epoch ``e``, ``g``
+        being the rank of ``c``.  The RNG draws stay in the caller, so the
+        stream is backend-independent.
+        The initial weight tensors are consumed and must not be relied on
+        afterwards.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -140,8 +144,33 @@ class NumpyBackend:
         learning_rate: float,
         momentum: float,
         gradient_clip: float,
+        sample_counts: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         n_networks, n_features, n_hidden = w_hidden.shape
+        n_epochs, max_samples, n_orders = shuffle_orders.shape
+        counts = np.asarray(sample_counts, dtype=np.intp)
+        if counts.shape != (n_networks,) or np.any(np.diff(counts) > 0):
+            raise ValueError("sample_counts must give one count per network, descending")
+        if np.any((counts < 1) | (counts > max_samples)):
+            raise ValueError("every sample count must lie in [1, shuffle_orders.shape[1]]")
+        # Column g of the orders belongs to the g-th largest sample count.
+        distinct_counts, order_of = np.unique(-counts, return_inverse=True)
+        if len(distinct_counts) != n_orders:
+            raise ValueError("shuffle_orders needs one order per distinct sample count")
+
+        # Network n takes n_epochs * counts[n] steps.  The stack is ordered
+        # by that, so the networks still training at any step are a prefix
+        # of it: finished networks drop out by slicing, and each segment
+        # between two drop-outs runs on fixed prefix views.
+        total_steps = n_epochs * counts
+        x_rows = x_samples.reshape(n_networks * max_samples, n_features)
+        y_rows = y_samples.reshape(n_networks * max_samples)
+        first_row = np.arange(n_networks) * max_samples
+        # Per order column, the sample visited at each step (epochs end to end).
+        visits = [
+            shuffle_orders[:, :count, column].reshape(-1)
+            for column, count in enumerate(-distinct_counts)
+        ]
 
         vel_w_hidden = np.zeros_like(w_hidden)
         vel_b_hidden = np.zeros_like(b_hidden)
@@ -154,7 +183,8 @@ class NumpyBackend:
         # Scratch buffers reused across the whole SGD loop; every update
         # below preserves the sequential implementation's operation order,
         # so each stacked network follows bit-for-bit the same trajectory
-        # an individually trained MLPRegressor would.
+        # an individually trained MLPRegressor would.  Stacked matmul
+        # reduces each network on its own, whatever the stack width.
         hidden_pre = np.empty((n_networks, 1, n_hidden))
         hidden_act = np.empty((n_networks, n_hidden))
         one_minus_act = np.empty_like(hidden_act)
@@ -164,46 +194,70 @@ class NumpyBackend:
         delta_hidden = np.empty_like(b_hidden)
         grad_w_hidden = np.empty_like(w_hidden)
 
-        for indices in shuffle_orders:
-            for idx in indices:
-                xi = x_samples[idx]                                 # (N, F)
-                np.matmul(xi[:, None, :], w_hidden, out=hidden_pre)
-                np.add(hidden_pre[:, 0, :], b_hidden, out=hidden_act)
-                np.clip(hidden_act, -60.0, 60.0, out=hidden_act)
-                np.negative(hidden_act, out=hidden_act)
-                np.exp(hidden_act, out=hidden_act)
-                hidden_act += 1.0
-                np.reciprocal(hidden_act, out=hidden_act)
+        start = 0
+        for end in np.unique(total_steps):
+            active = int(np.count_nonzero(total_steps >= end))
+            (w_h, b_h, w_o, b_o, v_w_h, v_b_h, v_w_o, v_b_o, h_pre, h_act,
+             one_minus, out, err, g_w_o, d_h, g_w_h) = (
+                buffer[:active] for buffer in (
+                    w_hidden, b_hidden, w_output, b_output,
+                    vel_w_hidden, vel_b_hidden, vel_w_output, vel_b_output,
+                    hidden_pre, hidden_act, one_minus_act, output, error,
+                    grad_w_output, delta_hidden, grad_w_hidden,
+                )
+            )
+            h_pre_flat, out_flat = h_pre[:, 0, :], out[:, 0, 0]
+            h_act_row, w_o_col, err_col = h_act[:, None, :], w_o[:, :, None], err[:, None]
+            orders_active, rows_active = order_of[:active], first_row[:active]
+            visited = np.stack(
+                [column[start:end] for column in visits[: orders_active[-1] + 1]], axis=1
+            )
+            start = end
+            chunk = max(1, _SGD_CHUNK_BYTES // (active * n_features * x_rows.itemsize))
+            for first in range(0, len(visited), chunk):
+                # Gather a chunk of steps at once, so each step below reads
+                # a contiguous (active, features) block by basic indexing.
+                rows = visited[first : first + chunk].take(orders_active, axis=1) + rows_active
+                for xi, yi in zip(x_rows.take(rows, axis=0), y_rows.take(rows)):
+                    np.matmul(xi[:, None, :], w_h, out=h_pre)
+                    np.add(h_pre_flat, b_h, out=h_act)
+                    np.maximum(h_act, -60.0, out=h_act)
+                    np.minimum(h_act, 60.0, out=h_act)
+                    np.negative(h_act, out=h_act)
+                    np.exp(h_act, out=h_act)
+                    h_act += 1.0
+                    np.reciprocal(h_act, out=h_act)
 
-                np.matmul(hidden_act[:, None, :], w_output[:, :, None], out=output)
-                np.add(output[:, 0, 0], b_output, out=error)
-                error -= y_samples[idx]
-                np.clip(error, -clip, clip, out=error)
+                    np.matmul(h_act_row, w_o_col, out=out)
+                    np.add(out_flat, b_o, out=err)
+                    err -= yi
+                    np.maximum(err, -clip, out=err)
+                    np.minimum(err, clip, out=err)
 
-                np.multiply(error[:, None], hidden_act, out=grad_w_output)
-                np.multiply(error[:, None], w_output, out=delta_hidden)
-                delta_hidden *= hidden_act
-                np.subtract(1.0, hidden_act, out=one_minus_act)
-                delta_hidden *= one_minus_act
-                np.multiply(xi[:, :, None], delta_hidden[:, None, :], out=grad_w_hidden)
+                    np.multiply(err_col, h_act, out=g_w_o)
+                    np.multiply(err_col, w_o, out=d_h)
+                    d_h *= h_act
+                    np.subtract(1.0, h_act, out=one_minus)
+                    d_h *= one_minus
+                    np.einsum("nf,nh->nfh", xi, d_h, out=g_w_h)
 
-                vel_w_output *= momentum
-                grad_w_output *= lr
-                vel_w_output -= grad_w_output
-                vel_b_output *= momentum
-                error *= lr
-                vel_b_output -= error
-                vel_w_hidden *= momentum
-                grad_w_hidden *= lr
-                vel_w_hidden -= grad_w_hidden
-                vel_b_hidden *= momentum
-                delta_hidden *= lr
-                vel_b_hidden -= delta_hidden
+                    v_w_o *= momentum
+                    g_w_o *= lr
+                    v_w_o -= g_w_o
+                    v_b_o *= momentum
+                    err *= lr
+                    v_b_o -= err
+                    v_w_h *= momentum
+                    g_w_h *= lr
+                    v_w_h -= g_w_h
+                    v_b_h *= momentum
+                    d_h *= lr
+                    v_b_h -= d_h
 
-                w_output += vel_w_output
-                b_output += vel_b_output
-                w_hidden += vel_w_hidden
-                b_hidden += vel_b_hidden
+                    w_o += v_w_o
+                    b_o += v_b_o
+                    w_h += v_w_h
+                    b_h += v_b_h
 
         return w_hidden, b_hidden, w_output, b_output
 
@@ -239,124 +293,9 @@ class NumpyBackend:
         return sxx, syy, sxy, loo_mean_x, loo_mean_y
 
 
-class TorchBackend:
-    """Optional PyTorch port of the kernels (float64, same operation order).
-
-    Torch's elementwise/matmul kernels follow IEEE double arithmetic, so
-    agreement with the NumPy reference is tight (~1e-12 relative) but not
-    guaranteed bit-exact; the backend equivalence tests assert the tight
-    tolerance and are skipped when torch is absent.
-    """
-
-    name = "torch"
-
-    def __init__(self) -> None:
-        import torch  # noqa: F401 - availability gate
-
-        self._torch = torch
-
-    @staticmethod
-    def is_available() -> bool:
-        """True when the optional torch dependency is importable."""
-        return importlib.util.find_spec("torch") is not None
-
-    def mlp_sgd(
-        self,
-        x_samples: np.ndarray,
-        y_samples: np.ndarray,
-        w_hidden: np.ndarray,
-        b_hidden: np.ndarray,
-        w_output: np.ndarray,
-        b_output: np.ndarray,
-        shuffle_orders: np.ndarray,
-        learning_rate: float,
-        momentum: float,
-        gradient_clip: float,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        torch = self._torch
-        as_t = lambda a: torch.from_numpy(np.ascontiguousarray(a))  # noqa: E731
-        x = as_t(x_samples)
-        y = as_t(y_samples)
-        w_h = as_t(w_hidden).clone()
-        b_h = as_t(b_hidden).clone()
-        w_o = as_t(w_output).clone()
-        b_o = as_t(b_output).clone()
-        vel_w_h = torch.zeros_like(w_h)
-        vel_b_h = torch.zeros_like(b_h)
-        vel_w_o = torch.zeros_like(w_o)
-        vel_b_o = torch.zeros_like(b_o)
-        lr, clip = learning_rate, gradient_clip
-
-        for indices in shuffle_orders:
-            for idx in indices:
-                xi = x[idx]                                            # (N, F)
-                hidden_act = torch.sigmoid(
-                    torch.clamp(
-                        torch.matmul(xi.unsqueeze(1), w_h).squeeze(1) + b_h,
-                        -60.0,
-                        60.0,
-                    )
-                )
-                output = torch.matmul(
-                    hidden_act.unsqueeze(1), w_o.unsqueeze(2)
-                ).reshape(-1)
-                error = torch.clamp(output + b_o - y[idx], -clip, clip)
-
-                grad_w_o = error.unsqueeze(1) * hidden_act
-                delta_h = error.unsqueeze(1) * w_o * hidden_act * (1.0 - hidden_act)
-                grad_w_h = xi.unsqueeze(2) * delta_h.unsqueeze(1)
-
-                vel_w_o = momentum * vel_w_o - lr * grad_w_o
-                vel_b_o = momentum * vel_b_o - lr * error
-                vel_w_h = momentum * vel_w_h - lr * grad_w_h
-                vel_b_h = momentum * vel_b_h - lr * delta_h
-
-                w_o += vel_w_o
-                b_o += vel_b_o
-                w_h += vel_w_h
-                b_h += vel_b_h
-
-        return (w_h.numpy(), b_h.numpy(), w_o.numpy(), b_o.numpy())
-
-    def nnt_downdated_statistics(
-        self,
-        pred: np.ndarray,
-        target: np.ndarray,
-        rows: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        torch = self._torch
-        p = torch.from_numpy(np.ascontiguousarray(pred))
-        t = torch.from_numpy(np.ascontiguousarray(target))
-        r = torch.from_numpy(np.ascontiguousarray(rows))
-        n = p.shape[0]
-        factor = n / (n - 1.0)
-        mean_x = p.mean(dim=0)
-        mean_y = t.mean(dim=0)
-        dx = p - mean_x.unsqueeze(0)
-        dy = t - mean_y.unsqueeze(0)
-        sxx_full = (dx**2).sum(dim=0)
-        syy_full = (dy**2).sum(dim=0)
-        sxy_full = dx.T @ dy
-        dxr = dx[r]
-        dyr = dy[r]
-        sxx = torch.clamp(sxx_full.unsqueeze(0) - factor * dxr**2, min=0.0)
-        syy = torch.clamp(syy_full.unsqueeze(0) - factor * dyr**2, min=0.0)
-        sxy = sxy_full.unsqueeze(0) - factor * (dxr.unsqueeze(2) * dyr.unsqueeze(1))
-        loo_mean_x = (n * mean_x.unsqueeze(0) - p[r]) / (n - 1)
-        loo_mean_y = (n * mean_y.unsqueeze(0) - t[r]) / (n - 1)
-        return (
-            sxx.numpy(),
-            syy.numpy(),
-            sxy.numpy(),
-            loo_mean_x.numpy(),
-            loo_mean_y.numpy(),
-        )
-
-
 #: Known backends, by configuration name.
 BACKENDS: dict[str, type] = {
     NumpyBackend.name: NumpyBackend,
-    TorchBackend.name: TorchBackend,
 }
 
 _INSTANCES: dict[str, ArrayBackend] = {}
@@ -380,8 +319,8 @@ def resolve_backend(backend: "str | ArrayBackend | None" = None) -> ArrayBackend
     Resolution order: an explicit instance is returned as-is; an explicit
     name is looked up in :data:`BACKENDS`; ``None`` consults the
     ``REPRO_BACKEND`` environment variable and defaults to ``"numpy"``.
-    A known but unavailable backend (e.g. ``torch`` without torch
-    installed) warns once per process and falls back to the NumPy
+    A known but unavailable backend (one whose optional dependency is
+    not installed) warns once per process and falls back to the NumPy
     reference so opt-in configurations degrade instead of failing;
     an unknown name raises ``ValueError``.
 

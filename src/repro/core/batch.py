@@ -16,7 +16,7 @@ application axis:
 * :class:`BatchedLinearTransposition` (NNᵀ) — derives all leave-one-out fits
   from full-set sufficient statistics by rank-one downdating; and
 * :class:`BatchedMLPTransposition` (MLPᵀ) — trains all leave-one-out
-  networks of a split simultaneously with
+  networks of one split, or of many splits at once, simultaneously with
   :class:`~repro.ml.batched_mlp.BatchedMLPRegressor`.
 
 GA-kNN's batched entry point lives with its baseline
@@ -59,6 +59,7 @@ __all__ = [
     "split_cache_key",
     "split_fingerprint",
     "supports_batched_prediction",
+    "supports_cross_split_prediction",
 ]
 
 
@@ -142,6 +143,24 @@ def supports_batched_prediction(method: object) -> bool:
         False
     """
     return callable(getattr(method, "predict_all_applications", None))
+
+
+def supports_cross_split_prediction(method: object) -> bool:
+    """True when *method* also predicts many splits in one pass.
+
+    Such a method has ``predict_all_splits(dataset, splits, applications)``,
+    returning one :meth:`~BatchedRankingMethod.predict_all_applications`
+    result per split; :func:`~repro.core.pipeline.run_cross_validation`
+    hands it every split at once.
+
+    Examples::
+
+        >>> supports_cross_split_prediction(BatchedMLPTransposition())
+        True
+        >>> supports_cross_split_prediction(BatchedLinearTransposition())
+        False
+    """
+    return callable(getattr(method, "predict_all_splits", None))
 
 
 class SplitContext:
@@ -357,12 +376,15 @@ class BatchedLinearTransposition(TranspositionMethod):
 
 
 class BatchedMLPTransposition(TranspositionMethod):
-    """MLPᵀ with a split-level batched entry point.
+    """MLPᵀ with split-level and cross-split batched entry points.
 
-    Every leave-one-out cell of a split trains a network of identical shape,
-    hyper-parameters and seed, so all of them advance through SGD together
-    as one stacked tensor pass (:class:`~repro.ml.batched_mlp.
-    BatchedMLPRegressor`), matching the per-cell results to ~1e-10.
+    Every leave-one-out cell trains a network with the same features,
+    hyper-parameters and seed; only the sample count (the split's predictive
+    machines) varies.  So the cells of one split — or of every split, via
+    :meth:`predict_all_splits` — advance through SGD together as one
+    lockstep tensor pass (:class:`~repro.ml.batched_mlp.
+    BatchedMLPRegressor`), each network bit-identical to a one-split pass
+    and matching the per-cell results to ~1e-10.
 
     Examples::
 
@@ -412,15 +434,39 @@ class BatchedMLPTransposition(TranspositionMethod):
         split: MachineSplit,
         applications: Sequence[str],
     ) -> dict[str, np.ndarray]:
-        if split.n_predictive < 2:
+        return self.predict_all_splits(dataset, [split], applications)[0]
+
+    def predict_all_splits(
+        self,
+        dataset: SpecDataset,
+        splits: Sequence[MachineSplit],
+        applications: Sequence[str],
+    ) -> list[dict[str, np.ndarray]]:
+        """:meth:`predict_all_applications` for every split, in one SGD pass.
+
+        The leave-one-out networks of all splits train as one ragged stack
+        (one network per split and application); a split's predictive
+        machines are its networks' samples, so sample counts differ across
+        splits.  Each network ends bit-identical to a one-split pass.
+        """
+        if any(split.n_predictive < 2 for split in splits):
             raise ValueError("MLPᵀ needs at least two predictive machines to train on")
-        context = SplitContext.for_split(dataset, split)
-        training_rows = context.training_row_matrix(applications)      # (N, B-1)
-        app_rows = context.rows_for(applications)
-        # Machines are samples, training benchmarks are features.
-        features = context.predictive_scores[training_rows].transpose(0, 2, 1)
-        targets = context.predictive_scores[app_rows]                  # (N, P)
-        queries = context.target_scores[training_rows].transpose(0, 2, 1)
+        if not applications or not splits:
+            return [{} for _ in splits]
+        contexts = [SplitContext.for_split(dataset, split) for split in splits]
+        training_rows = contexts[0].training_row_matrix(applications)   # (A, B-1)
+        app_rows = contexts[0].rows_for(applications)
+        n_apps = len(applications)
+        counts = np.repeat([split.n_predictive for split in splits], n_apps)
+        # Machines are samples, training benchmarks are features; each
+        # split's block is written straight into the padded stack.
+        features = np.zeros((len(counts), counts.max(), training_rows.shape[1]))
+        targets = np.zeros(features.shape[:2])
+        blocks = [slice(i * n_apps, (i + 1) * n_apps) for i in range(len(splits))]
+        for context, block, split in zip(contexts, blocks, splits):
+            scores = context.predictive_scores
+            features[block, : split.n_predictive] = scores[training_rows].transpose(0, 2, 1)
+            targets[block, : split.n_predictive] = scores[app_rows]
         model = BatchedMLPRegressor(
             hidden_units=self.hidden_units,
             learning_rate=self.learning_rate,
@@ -429,6 +475,10 @@ class BatchedMLPTransposition(TranspositionMethod):
             seed=self.seed,
             gradient_clip=self.gradient_clip,
             backend=self.backend,
-        )
-        predictions = model.fit(features, targets).predict(queries)    # (N, T)
-        return {app: predictions[i] for i, app in enumerate(applications)}
+        ).fit(features, targets, counts)
+        results = []
+        for context, block in zip(contexts, blocks):
+            queries = context.target_scores[training_rows].transpose(0, 2, 1)
+            predictions = model.predict(queries, block)                # (A, T)
+            results.append({app: predictions[i] for i, app in enumerate(applications)})
+        return results

@@ -10,14 +10,16 @@ The driver is a *batched* engine: per split it builds the shared working
 set once (:class:`~repro.core.batch.SplitContext`) and, for methods that
 implement :class:`~repro.core.batch.BatchedRankingMethod` (the standard
 NNᵀ/MLPᵀ/GA-kNN line-up all does), evaluates all leave-one-out
-applications in a single vectorised pass.  Methods without a batched entry
-point fall back to the historical per-cell loop, and an opt-in ``n_jobs``
-process pool fans the splits out across cores for them.
+applications in a single vectorised pass.  Methods that also predict many
+splits at once (MLPᵀ, whose networks of every split train as one lockstep
+SGD pass) get all splits in one call.  Methods without a batched entry
+point fall back to the historical per-cell loop.
 
 Method resolution goes through the registry (:mod:`repro.core.engine`):
 callers may pass registered method *names* instead of instances, and this
 module never branches on a method name itself — capability dispatch
-(:func:`~repro.core.batch.supports_batched_prediction`) is the only
+(:func:`~repro.core.batch.supports_batched_prediction`,
+:func:`~repro.core.batch.supports_cross_split_prediction`) is the only
 per-method decision it makes.
 
 :func:`predict_split_scores` is the shared fit/predict entry point beneath
@@ -30,12 +32,15 @@ tables.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.batch import TranspositionMethod, supports_batched_prediction
+from repro.core.batch import (
+    TranspositionMethod,
+    supports_batched_prediction,
+    supports_cross_split_prediction,
+)
 from repro.core.engine import resolve_methods
 from repro.core.ranking import MachineRanking, compare_rankings
 from repro.core.results import CellResult, MethodResults
@@ -149,40 +154,11 @@ def predict_split_scores(
     return scores
 
 
-def _run_single_split(
-    dataset: SpecDataset,
-    split: MachineSplit,
-    methods: Mapping[str, "RankingMethod"],
-    app_names: Sequence[str],
-) -> dict[str, list[CellResult]]:
-    """All cells of one split, with batch-capable methods run in one pass."""
-    predicted_by_method = predict_split_scores(dataset, split, methods, app_names)
-    cells: dict[str, list[CellResult]] = {name: [] for name in methods}
-    for application in app_names:
-        reference = actual_ranking(dataset, split, application)
-        for name in methods:
-            predicted_scores = predicted_by_method[name][application]
-            predicted = MachineRanking.from_scores(split.target_ids, predicted_scores)
-            comparison = compare_rankings(predicted, reference)
-            cells[name].append(
-                CellResult(
-                    method=name,
-                    split_name=split.name,
-                    application=application,
-                    rank_correlation=comparison.rank_correlation,
-                    top1_error_percent=comparison.top1_error_percent,
-                    mean_error_percent=comparison.mean_error_percent,
-                )
-            )
-    return cells
-
-
 def run_cross_validation(
     dataset: SpecDataset,
     splits: Sequence[MachineSplit],
     methods: "Mapping[str, RankingMethod] | Sequence[str] | str",
     applications: Sequence[str] | None = None,
-    n_jobs: int = 1,
 ) -> dict[str, MethodResults]:
     """Run every method over every (split, application) cell.
 
@@ -199,18 +175,12 @@ def run_cross_validation(
         through :func:`repro.core.engine.resolve_methods` with default
         hyper-parameters.  Methods that additionally implement
         :class:`~repro.core.batch.BatchedRankingMethod` are evaluated with
-        one batched pass per split instead of one call per cell.
+        one batched pass per split instead of one call per cell; those with
+        ``predict_all_splits`` get one pass over all splits.
     applications:
         Applications of interest; defaults to all benchmarks (the full
         leave-one-out loop).  Restricting this list is how tests and quick
         benches bound runtime.
-    n_jobs:
-        Number of worker processes to fan the splits out over (default 1 =
-        in-process).  Useful for methods that stay sequential per cell
-        (GA-kNN); requires picklable dataset/method objects, and method
-        instance state mutated while predicting (e.g. learned weights) is
-        not propagated back from the workers.  Results are identical to the
-        in-process path regardless of worker count.
 
     Returns
     -------
@@ -232,31 +202,42 @@ def run_cross_validation(
         raise ValueError("at least one machine split is required")
     if not methods:
         raise ValueError("at least one method is required")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
-    # Resolve once, up front: worker processes receive built instances, and
-    # every split sees the same objects (split-level state reuse).
+    # Resolve once, up front, so every split sees the same objects
+    # (split-level state reuse).
     methods = resolve_methods(methods)
     app_names = list(applications) if applications is not None else dataset.benchmark_names
     unknown = set(app_names) - set(dataset.benchmark_names)
     if unknown:
         raise ValueError(f"unknown applications of interest: {sorted(unknown)}")
 
-    n_workers = min(n_jobs, len(splits))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_run_single_split, dataset, split, methods, app_names)
-                for split in splits
-            ]
-            split_cells = [future.result() for future in futures]
-    else:
-        split_cells = [
-            _run_single_split(dataset, split, methods, app_names) for split in splits
-        ]
+    cross_split = {n: m for n, m in methods.items() if supports_cross_split_prediction(m)}
+    per_split = {n: m for n, m in methods.items() if n not in cross_split}
+    split_scores = [
+        predict_split_scores(dataset, split, per_split, app_names) if per_split else {}
+        for split in splits
+    ]
+    for name, method in cross_split.items():
+        predicted = method.predict_all_splits(dataset, splits, app_names)
+        for scores, split_predicted in zip(split_scores, predicted):
+            scores[name] = {app: np.asarray(split_predicted[app]) for app in app_names}
 
     results = {name: MethodResults(method=name) for name in methods}
-    for cells in split_cells:
-        for name, method_cells in cells.items():
-            results[name].extend(method_cells)
+    for split, scores in zip(splits, split_scores):
+        for application in app_names:
+            reference = actual_ranking(dataset, split, application)
+            for name in methods:
+                predicted_ranking = MachineRanking.from_scores(
+                    split.target_ids, scores[name][application]
+                )
+                comparison = compare_rankings(predicted_ranking, reference)
+                results[name].add(
+                    CellResult(
+                        method=name,
+                        split_name=split.name,
+                        application=application,
+                        rank_correlation=comparison.rank_correlation,
+                        top1_error_percent=comparison.top1_error_percent,
+                        mean_error_percent=comparison.mean_error_percent,
+                    )
+                )
     return results

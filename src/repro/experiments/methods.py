@@ -12,8 +12,7 @@ pipeline evaluates with one vectorised pass per split (all leave-one-out
 applications at once — GA-kNN included, via the lockstep GA);
 ``batched=False`` resolves the ``*/per-cell`` reference variants instead,
 which the engine benches and equivalence tests use as the speedup/accuracy
-baseline.  Either way every instance is picklable so the line-up works
-with ``run_cross_validation(..., n_jobs=N)``.
+baseline.
 """
 
 from __future__ import annotations

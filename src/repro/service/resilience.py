@@ -241,7 +241,7 @@ class CircuitBreaker:
 class ResilientBackend:
     """An :class:`~repro.core.backends.ArrayBackend` behind a circuit breaker.
 
-    Wraps a *primary* backend (the configured one — NumPy, torch, ...) and
+    Wraps a *primary* backend (the configured one, NumPy by default) and
     degrades to a *fallback* (default: a clean
     :class:`~repro.core.backends.NumpyBackend`, the bit-exact reference)
     whenever the primary fails or the breaker refuses the call.  The fault

@@ -1,6 +1,5 @@
 """Tests for the pluggable array backends (repro.core.backends)."""
 
-import importlib.util
 import warnings
 
 import numpy as np
@@ -12,14 +11,11 @@ from repro.core.backends import (
     BACKENDS,
     ArrayBackend,
     NumpyBackend,
-    TorchBackend,
     available_backends,
     resolve_backend,
 )
 from repro.core.linear_predictor import LinearTranspositionPredictor
 from repro.ml.batched_mlp import BatchedMLPRegressor
-
-HAS_TORCH = importlib.util.find_spec("torch") is not None
 
 
 # ------------------------------------------------------------------ resolution
@@ -114,31 +110,3 @@ def test_explicit_numpy_backend_is_bit_identical_to_default(monkeypatch):
         ),
     )
 
-
-# -------------------------------------------------------------- torch backend
-@pytest.mark.skipif(not HAS_TORCH, reason="optional torch dependency not installed")
-def test_torch_kernels_agree_with_numpy_reference():
-    rng = np.random.default_rng(2)
-    torch_backend = resolve_backend("torch")
-    assert isinstance(torch_backend, TorchBackend)
-
-    pred = rng.uniform(1.0, 2.0, size=(9, 4))
-    target = rng.uniform(1.0, 2.0, size=(9, 3))
-    rows = np.arange(9)
-    reference = NumpyBackend().nnt_downdated_statistics(pred, target, rows)
-    ported = torch_backend.nnt_downdated_statistics(pred, target, rows)
-    for ref, got in zip(reference, ported):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-    features = rng.uniform(0.5, 1.5, size=(2, 15, 4))
-    targets = rng.uniform(0.5, 1.5, size=(2, 15))
-    queries = rng.uniform(0.5, 1.5, size=(2, 5, 4))
-    numpy_model = BatchedMLPRegressor(epochs=15, seed=0, backend="numpy").fit(
-        features, targets
-    )
-    torch_model = BatchedMLPRegressor(epochs=15, seed=0, backend="torch").fit(
-        features, targets
-    )
-    np.testing.assert_allclose(
-        torch_model.predict(queries), numpy_model.predict(queries), rtol=1e-9
-    )

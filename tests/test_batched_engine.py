@@ -4,13 +4,14 @@ The batched engine is only allowed to be *fast*: every vectorised path must
 reproduce the sequential implementation it replaces.  These tests pin that
 contract — stacked MLP training against per-network training, downdated
 leave-one-out NNᵀ against per-application refits, the batched pipeline
-against the per-cell pipeline, and the process-pool fan-out against the
-in-process path — plus the satellite API changes that ride along
+against the per-cell pipeline — plus the satellite API changes that ride along
 (read-only matrix views, the ``gradient_clip`` knob).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BatchedLinearTransposition,
@@ -93,6 +94,54 @@ def test_batched_mlp_single_network_stack_matches_sequential():
     np.testing.assert_allclose(batched.predict(queries)[0], reference, rtol=1e-10)
 
 
+@given(
+    groups=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(2, 15)), min_size=1, max_size=4
+    ),
+    epochs=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_ragged_stack_matches_each_group_fitted_alone(groups, epochs, seed):
+    """Stacked SGD ≡ independent SGD for any stack width and masking pattern.
+
+    Each group is a set of networks sharing one sample count (counts may
+    repeat across groups); the ragged stack interleaves all groups'
+    networks, padded to the longest count.
+    """
+    rng = np.random.default_rng(seed)
+    n_features = 3
+    max_samples = max(n_samples for _, n_samples in groups)
+    blocks = [
+        (
+            rng.uniform(1.0, 50.0, (n_networks, n_samples, n_features)),
+            rng.uniform(1.0, 50.0, (n_networks, n_samples)),
+        )
+        for n_networks, n_samples in groups
+    ]
+    counts = np.concatenate([np.full(len(x), x.shape[1]) for x, _ in blocks])
+    features = np.full((len(counts), max_samples, n_features), np.nan)
+    targets = np.full((len(counts), max_samples), np.nan)
+    start = 0
+    for x, y in blocks:
+        features[start : start + len(x), : x.shape[1]] = x
+        targets[start : start + len(x), : x.shape[1]] = y
+        start += len(x)
+    shuffle = rng.permutation(len(counts))
+    ragged = BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(
+        features[shuffle], targets[shuffle], counts[shuffle]
+    )
+    alone = [
+        BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(x, y)
+        for x, y in blocks
+    ]
+    unshuffle = np.argsort(shuffle)
+    for attr in ("_w_hidden", "_b_hidden", "_w_output", "_b_output"):
+        stacked = getattr(ragged, attr)[unshuffle]
+        expected = np.concatenate([getattr(model, attr) for model in alone])
+        assert np.array_equal(stacked, expected), attr
+
+
 def test_batched_mlp_validation():
     with pytest.raises(ValueError):
         BatchedMLPRegressor(hidden_units=0)
@@ -103,6 +152,12 @@ def test_batched_mlp_validation():
         model.fit(np.zeros((2, 4)), np.zeros((2,)))  # not 3-D
     with pytest.raises(ValueError):
         model.fit(np.ones((2, 1, 3)), np.ones((2, 1)))  # one sample
+    with pytest.raises(ValueError):
+        model.fit(np.ones((2, 4, 3)), np.ones((2, 4)), [4, 1])  # one sample
+    with pytest.raises(ValueError):
+        model.fit(np.ones((2, 4, 3)), np.ones((2, 4)), [4, 5])  # count > padding
+    with pytest.raises(ValueError):
+        model.fit(np.ones((2, 4, 3)), np.ones((2, 4)), [4])  # one count short
     with pytest.raises(RuntimeError):
         model.predict(np.ones((2, 2, 3)))
 
@@ -210,23 +265,6 @@ def test_run_cross_validation_is_deterministic(dataset, splits):
     second = run_cross_validation(dataset, splits[:2], methods(), applications)
     for name in first:
         assert first[name].cells == second[name].cells
-
-
-def test_run_cross_validation_n_jobs_matches_in_process(dataset, splits):
-    applications = ["gcc", "mcf"]
-    methods = {"NN^T": BatchedLinearTransposition()}
-    in_process = run_cross_validation(dataset, splits[:3], methods, applications)
-    fanned_out = run_cross_validation(
-        dataset, splits[:3], {"NN^T": BatchedLinearTransposition()}, applications, n_jobs=2
-    )
-    assert in_process["NN^T"].cells == fanned_out["NN^T"].cells
-
-
-def test_run_cross_validation_rejects_bad_n_jobs(dataset, splits):
-    with pytest.raises(ValueError):
-        run_cross_validation(
-            dataset, splits[:1], {"NN^T": BatchedLinearTransposition()}, ["gcc"], n_jobs=0
-        )
 
 
 def test_split_context_is_cached_and_consistent(dataset, splits):

@@ -220,13 +220,14 @@ def test_resilient_backend_protects_mlp_weights_from_failed_primary():
     rng = np.random.default_rng(1)
     n_networks, n_features, n_hidden, n_samples = 2, 3, 4, 5
     args = dict(
-        x=rng.normal(size=(n_samples, n_networks, n_features)),
-        y=rng.normal(size=(n_samples, n_networks)),
+        x=rng.normal(size=(n_networks, n_samples, n_features)),
+        y=rng.normal(size=(n_networks, n_samples)),
         w_hidden=rng.normal(size=(n_networks, n_features, n_hidden)),
         b_hidden=rng.normal(size=(n_networks, n_hidden)),
         w_output=rng.normal(size=(n_networks, n_hidden)),
         b_output=rng.normal(size=n_networks),
-        shuffle=np.stack([rng.permutation(n_samples) for _ in range(3)]),
+        shuffle=np.stack([rng.permutation(n_samples) for _ in range(3)])[:, :, None],
+        counts=np.full(n_networks, n_samples),
     )
 
     def call(backend):
@@ -234,7 +235,7 @@ def test_resilient_backend_protects_mlp_weights_from_failed_primary():
             args["x"].copy(), args["y"].copy(),
             args["w_hidden"].copy(), args["b_hidden"].copy(),
             args["w_output"].copy(), args["b_output"].copy(),
-            args["shuffle"].copy(), 0.1, 0.9, 5.0,
+            args["shuffle"].copy(), 0.1, 0.9, 5.0, args["counts"],
         )
 
     resilient = ResilientBackend(primary=_ExplodingBackend())
