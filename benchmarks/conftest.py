@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.data import build_default_dataset
@@ -53,6 +55,27 @@ def dataset(config):
 def run_once(benchmark, func, *args, **kwargs):
     """Run *func* exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def interleaved_speedup(baseline, candidate, pairs):
+    """(median baseline/candidate time ratio, baseline result, candidate result).
+
+    Both zero-argument callables run once untimed first (allocator and
+    cache warm-up); their results are returned.  Then each of *pairs*
+    pairs times the baseline and the candidate back to back (ABAB), so
+    load drift on a shared machine hits both sides of a pair alike and
+    cancels in its ratio; the median ignores one outlier pair either way.
+    """
+    results = baseline(), candidate()
+    ratios = []
+    for _ in range(pairs):
+        start = time.perf_counter()
+        baseline()
+        middle = time.perf_counter()
+        candidate()
+        ratios.append((middle - start) / (time.perf_counter() - middle))
+    print(f"\n{pairs} ABAB pairs, speedup per pair: " + ", ".join(f"{r:.2f}x" for r in ratios))
+    return float(np.median(ratios)), *results
 
 
 #: Extra per-module payloads merged into BENCH_<module>.json at session end.

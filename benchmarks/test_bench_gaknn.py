@@ -16,15 +16,13 @@ full-split evaluation must be ``>= 3x`` faster than the sequential loop it
 replaces, while returning bit-identical predictions.
 """
 
-import time
-
 import numpy as np
 
 from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
 from repro.data import family_cross_validation_splits
 from repro.ml.genetic import GAConfig
 
-from conftest import run_once
+from conftest import interleaved_speedup, run_once
 
 #: Full-split speedup the batched GA-kNN path must deliver on one core
 #: (acceptance criterion: shared-statistics dedup + lockstep GA >= 3x).
@@ -75,42 +73,19 @@ def test_bench_gaknn_sequential_split(benchmark, dataset, config):
     assert sorted(scores) == sorted(applications)
 
 
-def _median_of(repeats, func, *args):
-    """(median wall-clock over *repeats* runs, last result).
-
-    One untimed warmup first (allocator/page-cache effects dominate the
-    first call), then the median — not best-of: a single anomalously fast
-    (cache-lucky) or slow (scheduler-preempted) run on a busy 1-core box
-    must not decide the contract in either direction.
-    """
-    func(*args)
-    timings = []
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = func(*args)
-        timings.append(time.perf_counter() - start)
-    return float(np.median(timings)), result
-
-
 def test_gaknn_batched_split_meets_speedup_contract(dataset):
     """Acceptance: batched full-split GA fitness >= 3x the sequential loop."""
     split = family_cross_validation_splits(dataset)[0]
     applications = dataset.benchmark_names
 
-    sequential_elapsed, sequential = _median_of(
-        3, _sequential_split, dataset, split, applications, CONTRACT_GA
-    )
-    batched_elapsed, batched = _median_of(
-        3, _batched_split, dataset, split, applications, CONTRACT_GA
+    speedup, sequential, batched = interleaved_speedup(
+        lambda: _sequential_split(dataset, split, applications, CONTRACT_GA),
+        lambda: _batched_split(dataset, split, applications, CONTRACT_GA),
+        pairs=3,
     )
 
     # Identical answers either way; only the cost differs.
     for application in applications:
         np.testing.assert_array_equal(batched[application], sequential[application])
-    speedup = sequential_elapsed / batched_elapsed
-    print(
-        f"\nGA-kNN full split: sequential {sequential_elapsed * 1e3:.0f} ms, "
-        f"batched {batched_elapsed * 1e3:.0f} ms, {speedup:.1f}x"
-    )
+    print(f"GA-kNN full split: median batched speedup {speedup:.1f}x")
     assert speedup >= MIN_BATCHED_GAKNN_SPEEDUP

@@ -119,7 +119,7 @@ class MethodParams:
     knn_neighbours: int = 10
     seed: int = 0
     #: Array backend name for backend-capable methods (``None`` resolves
-    #: via ``REPRO_BACKEND``, default NumPy).
+    #: via ``REPRO_BACKEND``, default the compiled kernel).
     backend: str | None = None
 
     def ga_config(self) -> GAConfig:

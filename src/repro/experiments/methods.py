@@ -39,7 +39,7 @@ def standard_methods(
     first-class batched registrations and their ``*/per-cell`` reference
     variants (same labels either way), and *backend* selects the array
     backend for backend-capable methods (``None`` = ``REPRO_BACKEND`` or
-    NumPy).
+    the compiled kernel).
     """
     names = [NNT, MLPT, GAKNN]
     if not batched:

@@ -25,7 +25,9 @@ The batched pass reproduces the sequential implementation's arithmetic:
 So a network's trained weights do not depend on which other networks
 share its stack (``tests/test_batched_engine.py`` pins this with a
 property test), and agree with :class:`~repro.ml.mlp.MLPRegressor` to
-``rtol=1e-10`` (in practice to the last few ulps even after 500 epochs).
+``rtol=1e-10`` (in practice to the last few ulps even after 500 epochs)
+on the NumPy reference backend; the compiled backend agrees with that
+reference within :data:`repro.core.backends.COMPILED_RTOL`.
 
 Array backends
 --------------
@@ -52,7 +54,8 @@ class BatchedMLPRegressor:
     with it the sample count — differs per network.
     Parameters match :class:`repro.ml.mlp.MLPRegressor`, plus ``backend`` —
     an :class:`~repro.core.backends.ArrayBackend` name or instance for the
-    SGD kernel (``None`` resolves via ``REPRO_BACKEND``, default NumPy).
+    SGD kernel (``None`` resolves via ``REPRO_BACKEND``, default the
+    compiled kernel).
     """
 
     def __init__(

@@ -12,9 +12,10 @@ the engine seam share:
   test recovery.  Thread-safe, injectable clock.
 * :class:`ResilientBackend` — wraps an :class:`~repro.core.backends.
   ArrayBackend` behind a breaker: kernel failures (real or injected) count
-  against the breaker and the call degrades to the **bit-exact NumPy
-  reference**, so a degraded reply is byte-identical to a healthy NumPy
-  reply.  The fault injector's ``backend_error`` / ``latency`` seams live
+  against the breaker and the call degrades to the **NumPy reference**,
+  so a degraded reply equals a healthy one within the compiled kernel's
+  declared tolerance (byte-identical when the primary is NumPy).  The
+  fault injector's ``backend_error`` / ``latency`` seams live
   here.
 * :class:`RetryPolicy` — exponential backoff with full jitter for the
   clients (:class:`~repro.service.server.InProcessClient`,
@@ -241,13 +242,16 @@ class CircuitBreaker:
 class ResilientBackend:
     """An :class:`~repro.core.backends.ArrayBackend` behind a circuit breaker.
 
-    Wraps a *primary* backend (the configured one, NumPy by default) and
-    degrades to a *fallback* (default: a clean
-    :class:`~repro.core.backends.NumpyBackend`, the bit-exact reference)
-    whenever the primary fails or the breaker refuses the call.  The fault
-    injector's ``backend_error`` and ``latency`` seams fire on the primary
-    path only, so the degraded path stays clean — which is exactly what
-    makes degraded replies bit-identical to healthy NumPy replies.
+    Wraps a *primary* backend (the configured one, the compiled kernel by
+    default) and degrades to a *fallback* (default: a clean
+    :class:`~repro.core.backends.NumpyBackend`, the reference) whenever
+    the primary fails or the breaker refuses the call.  The fallback is a
+    second implementation, so one fault in the compiled kernel cannot take
+    down both; its answers equal the primary's within the declared
+    tolerance (:data:`~repro.core.backends.COMPILED_RTOL`), and bit for
+    bit when the primary is NumPy.  The fault injector's ``backend_error``
+    and ``latency`` seams fire on the primary path only, so the degraded
+    path stays clean.
 
     Implements the :class:`~repro.core.backends.ArrayBackend` protocol, so
     an instance slots anywhere a backend name would
@@ -257,7 +261,7 @@ class ResilientBackend:
 
         >>> backend = ResilientBackend()
         >>> backend.name
-        'resilient:numpy'
+        'resilient:compiled'
         >>> backend.breaker.state
         'closed'
     """

@@ -912,7 +912,7 @@ def build_service(
 
     The stack is assembled resilient: the configured array backend is
     wrapped in a :class:`~repro.service.resilience.ResilientBackend`
-    (circuit breaker + bit-exact NumPy degradation), and — when
+    (circuit breaker + degradation to the NumPy reference), and — when
     ``REPRO_FAULTS`` is set or *fault_injector* is passed — the fault
     injector is wired through the backend, the split cache, and the
     service (the TCP front end picks it up for connection drops).

@@ -19,11 +19,16 @@ from repro.core import (
     LinearTranspositionPredictor,
     SplitContext,
     TranspositionMethod,
+    actual_ranking,
+    compare_rankings,
     run_cross_validation,
     supports_batched_prediction,
 )
+from repro.core.backends import BACKENDS, COMPILED_RTOL, CompiledBackend
 from repro.core.mlp_predictor import MLPTranspositionPredictor
+from repro.core.ranking import MachineRanking
 from repro.data import build_default_dataset, family_cross_validation_splits
+from repro.experiments import ExperimentConfig
 from repro.ml import BatchedMLPRegressor, MLPRegressor
 
 
@@ -94,6 +99,7 @@ def test_batched_mlp_single_network_stack_matches_sequential():
     np.testing.assert_allclose(batched.predict(queries)[0], reference, rtol=1e-10)
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @given(
     groups=st.lists(
         st.tuples(st.integers(1, 12), st.integers(2, 15)), min_size=1, max_size=4
@@ -102,13 +108,16 @@ def test_batched_mlp_single_network_stack_matches_sequential():
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=30, deadline=None)
-def test_ragged_stack_matches_each_group_fitted_alone(groups, epochs, seed):
+def test_ragged_stack_matches_each_group_fitted_alone(backend, groups, epochs, seed):
     """Stacked SGD ≡ independent SGD for any stack width and masking pattern.
 
     Each group is a set of networks sharing one sample count (counts may
     repeat across groups); the ragged stack interleaves all groups'
-    networks, padded to the longest count.
+    networks, padded to the longest count.  Holds bit for bit on every
+    backend.
     """
+    if not BACKENDS[backend].is_available():
+        pytest.skip(f"backend {backend!r} is not available")
     rng = np.random.default_rng(seed)
     n_features = 3
     max_samples = max(n_samples for _, n_samples in groups)
@@ -128,11 +137,11 @@ def test_ragged_stack_matches_each_group_fitted_alone(groups, epochs, seed):
         targets[start : start + len(x), : x.shape[1]] = y
         start += len(x)
     shuffle = rng.permutation(len(counts))
-    ragged = BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(
+    ragged = BatchedMLPRegressor(epochs=epochs, seed=seed, backend=backend).fit(
         features[shuffle], targets[shuffle], counts[shuffle]
     )
     alone = [
-        BatchedMLPRegressor(epochs=epochs, seed=seed, backend="numpy").fit(x, y)
+        BatchedMLPRegressor(epochs=epochs, seed=seed, backend=backend).fit(x, y)
         for x, y in blocks
     ]
     unshuffle = np.argsort(shuffle)
@@ -140,6 +149,42 @@ def test_ragged_stack_matches_each_group_fitted_alone(groups, epochs, seed):
         stacked = getattr(ragged, attr)[unshuffle]
         expected = np.concatenate([getattr(model, attr) for model in alone])
         assert np.array_equal(stacked, expected), attr
+
+
+def test_compiled_backend_matches_numpy_on_family_splits(dataset, splits):
+    """The compiled kernel agrees with the reference within its tolerance.
+
+    Fast-preset MLPᵀ on three family splits (78, 96 and 108 predictive
+    machines) as one cross-split stack: predicted scores within
+    ``COMPILED_RTOL``, identical rankings, and the same evaluated cells.
+    """
+    if not CompiledBackend.is_available():
+        pytest.skip("no C compiler")
+    config = ExperimentConfig.fast()
+    chosen = [split for split in splits if split.n_predictive in (78, 96, 108)]
+    assert sorted(split.n_predictive for split in chosen) == [78, 96, 108]
+    applications = list(config.applications)
+    reference, compiled = (
+        BatchedMLPTransposition(
+            epochs=config.mlp_epochs, seed=config.seed, backend=backend
+        ).predict_all_splits(dataset, chosen, applications)
+        for backend in ("numpy", "compiled")
+    )
+    for split, expected, got in zip(chosen, reference, compiled):
+        for application in applications:
+            np.testing.assert_allclose(got[application], expected[application], rtol=COMPILED_RTOL)
+            rankings = [
+                MachineRanking.from_scores(split.target_ids, scores[application])
+                for scores in (expected, got)
+            ]
+            assert rankings[0].ordered_ids() == rankings[1].ordered_ids()
+            actual = actual_ranking(dataset, split, application)
+            want, have = (compare_rankings(ranking, actual) for ranking in rankings)
+            assert have.rank_correlation == want.rank_correlation
+            assert have.top1_error_percent == want.top1_error_percent
+            assert have.mean_error_percent == pytest.approx(
+                want.mean_error_percent, rel=COMPILED_RTOL
+            )
 
 
 def test_batched_mlp_validation():
