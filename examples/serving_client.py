@@ -78,7 +78,7 @@ def main() -> None:
     for entry in response["ranking"]:
         print(f"  {entry['machine']:<38} predicted {entry['score']:6.1f}")
 
-    stats = service.cache_stats()
+    stats = service.cache.stats()
     print(
         f"\nCache: {stats.entries} trained split(s) resident, "
         f"{stats.hits} hits / {stats.misses} misses"

@@ -179,8 +179,9 @@ class SplitContext:
     fingerprint:
         Hex SHA-256 digest of :func:`split_cache_key`, i.e. a stable
         content address for this (dataset, split) pair.  The prediction
-        service uses it to route entries to cache shards deterministically
-        (``hash()`` would vary with ``PYTHONHASHSEED``).
+        service echoes it on every reply as ``split_fingerprint`` (stable
+        across processes, where ``hash()`` would vary with
+        ``PYTHONHASHSEED``).
     predictive_scores / target_scores:
         Contiguous ``(benchmarks x machines)`` score blocks for the
         predictive and target machine sets.

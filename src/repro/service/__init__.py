@@ -10,7 +10,7 @@ stack for it:
   :func:`~repro.core.pipeline.predict_split_scores` entry point the offline
   tables use (service answers are bit-identical to
   :func:`~repro.core.pipeline.run_cross_validation` cells);
-* :mod:`repro.service.cache` — :class:`SplitContextCache`, the sharded
+* :mod:`repro.service.cache` — :class:`SplitContextCache`, the
   LRU+TTL cache holding trained split state, keyed by
   :func:`~repro.core.batch.split_cache_key`;
 * :mod:`repro.service.batching` — :class:`MicroBatcher`, the asyncio

@@ -50,11 +50,11 @@ from repro.core.pipeline import RankingMethod, predict_split_scores
 from repro.core.ranking import MachineRanking
 from repro.data.spec_dataset import SpecDataset
 from repro.data.splits import MachineSplit
-from repro.service.cache import CacheStats, SplitContextCache
+from repro.service.cache import SplitContextCache
 from repro.service.errors import ServiceError
 from repro.service.faults import FaultInjector
 from repro.service.observability import MetricsRegistry, Trace
-from repro.service.resilience import Deadline
+from repro.service.resilience import Deadline, ResilientBackend
 
 __all__ = [
     "DEFAULT_METHOD",
@@ -137,7 +137,7 @@ class RankingReply:
         (no tensor pass was needed).
     split_fingerprint:
         Content address of the (dataset, split) pair that answered the
-        query — the cache key digest, useful for tracing shard routing.
+        query — the cache key digest, useful for correlating replies.
     degraded:
         ``True`` when the service answered with a cheaper fallback method
         because the requested one could not meet the query's deadline.
@@ -246,7 +246,7 @@ class PredictionService:
         methods work too, they just fill the split state more slowly.
     cache:
         The :class:`~repro.service.cache.SplitContextCache` holding trained
-        split state (default: 64 entries, 4 shards, no TTL).
+        split state (default: 64 entries, no TTL).
     fallbacks:
         ``{method: cheaper_method}`` degradation map used when a query's
         deadline cannot be met by its requested method.  ``None`` (the
@@ -262,6 +262,11 @@ class PredictionService:
         registry, so recording never needs a null check;
         :func:`~repro.service.server.build_service` passes one shared
         registry to the service and the resilient backend.
+    backend:
+        The :class:`~repro.service.resilience.ResilientBackend` the methods
+        compute on, if any — like *fault_injector*, the service only
+        reports it (the ``health`` and ``metrics`` verbs show its breaker
+        and fallback accounting).
 
     Examples::
 
@@ -285,6 +290,7 @@ class PredictionService:
         fallbacks: "Mapping[str, str] | None" = None,
         fault_injector: FaultInjector | None = None,
         metrics: MetricsRegistry | None = None,
+        backend: ResilientBackend | None = None,
     ) -> None:
         if not methods:
             raise ValueError("at least one ranking method is required")
@@ -293,6 +299,7 @@ class PredictionService:
         self.cache = cache if cache is not None else SplitContextCache()
         self.fault_injector = fault_injector
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.backend = backend
         self._benchmarks = set(dataset.benchmark_names)
         self._machines = set(dataset.machine_ids)
         self._fallbacks = (
@@ -479,8 +486,3 @@ class PredictionService:
                 )
             )
         return replies
-
-    # ------------------------------------------------------------ inspection
-    def cache_stats(self) -> CacheStats:
-        """Counters of the underlying split-state cache."""
-        return self.cache.stats()

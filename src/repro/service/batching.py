@@ -74,7 +74,8 @@ class MicroBatcher:
     while a batch trains.  Invalid queries fail their own caller with
     :class:`~repro.service.api.ServiceError` — they never poison the other
     requests in the batch, and a caller that disappears (cancelled future)
-    never prevents the rest of its batch from being answered.  A query
+    before the flush is left out of the engine call and never prevents the
+    rest of its batch from being answered.  A query
     whose deadline has already expired is rejected at admission (and again
     at flush time, for deadlines that expire while queued) with
     :class:`~repro.service.errors.DeadlineExceededError`; the rest of its
@@ -158,29 +159,28 @@ class MicroBatcher:
         batch, self._pending = self._pending, []
         if not batch:
             return
-        # Weed out invalid queries individually so one bad request cannot
-        # fail the whole batch (split_for covers name and shape validation);
-        # likewise fail queries whose deadline expired while they queued —
+        # Drop requests whose caller is gone (cancelled future, e.g. a
+        # closed connection): nobody would read their replies.  Weed out
+        # invalid queries individually so one bad request cannot fail the
+        # whole batch (split_for covers name and shape validation); likewise
+        # fail queries whose deadline expired while they queued —
         # dispatching them would waste an engine pass on an unusable reply.
-        # Futures may already be done (caller gone) — never touch those.
         metrics = self.service.metrics
         valid: list[tuple[RankingQuery, asyncio.Future]] = []
         for query, future in batch:
+            if future.done():
+                continue
             if query.trace is not None:
                 query.trace.end("queue")
             if query.deadline is not None and query.deadline.expired:
                 self.deadline_rejections += 1
                 metrics.counter("batcher.deadline_rejected").inc()
-                if not future.done():
-                    future.set_exception(
-                        DeadlineExceededError("deadline expired while queued")
-                    )
+                future.set_exception(DeadlineExceededError("deadline expired while queued"))
                 continue
             try:
                 self.service.split_for(query)
             except Exception as exc:
-                if not future.done():
-                    future.set_exception(exc)
+                future.set_exception(exc)
             else:
                 valid.append((query, future))
         self.batches_dispatched += 1

@@ -8,13 +8,10 @@ pass.  :class:`SplitContextCache` keeps those objects warm between queries:
 * keys are the stable content addresses of
   :func:`repro.core.batch.split_cache_key` (dataset fingerprint +
   predictive/target machine ids), so two clients presenting the same
-  machine sets against byte-identical scores share one entry;
+  machine sets against byte-identical scores share one entry; and
 * entries are held in **LRU** order with an optional **TTL**, so a serving
   process neither grows without bound nor serves stale state after the
-  configured lifetime; and
-* entries are distributed over independently locked **shards** (routed by a
-  seed-independent CRC of the key), so concurrent queries against different
-  splits never contend on one lock.
+  configured lifetime.
 
 The cache is value-agnostic: the service stores its per-split state in it,
 but any hashable-key/opaque-value pair works, which keeps the eviction
@@ -29,7 +26,7 @@ detects the wrong type, invalidates, and rebuilds).
 
 Examples::
 
-    >>> cache = SplitContextCache(capacity=2, n_shards=1)
+    >>> cache = SplitContextCache(capacity=2)
     >>> cache.put("split-a", 1)
     >>> cache.put("split-b", 2)
     >>> cache.get("split-a")
@@ -43,9 +40,9 @@ Examples::
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
@@ -64,11 +61,11 @@ class CacheStats:
     hits / misses:
         Lookup outcomes (an expired entry counts as a miss).
     evictions:
-        Entries dropped because a shard exceeded its capacity.
+        Entries dropped because the cache was at capacity.
     expirations:
         Entries dropped because their TTL elapsed.
     entries:
-        Entries currently resident across all shards.
+        Entries currently resident.
 
     Examples::
 
@@ -82,132 +79,19 @@ class CacheStats:
     expirations: int = 0
     entries: int = 0
 
-    def __add__(self, other: "CacheStats") -> "CacheStats":
-        """Aggregate two counters (used to sum per-shard stats)."""
-        return CacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-            expirations=self.expirations + other.expirations,
-            entries=self.entries + other.entries,
-        )
-
-
-class _Shard:
-    """One independently locked LRU+TTL segment of the cache."""
-
-    def __init__(self, capacity: int, ttl: float | None, clock: Callable[[], float]) -> None:
-        self.capacity = capacity
-        self.ttl = ttl
-        self.clock = clock
-        self.lock = threading.Lock()
-        #: key -> (value, expiry timestamp or None), most recently used last.
-        self.entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.expirations = 0
-
-    def _expiry(self) -> float | None:
-        return None if self.ttl is None else self.clock() + self.ttl
-
-    def _drop_expired(self, key: Hashable, expiry: float | None) -> bool:
-        if expiry is not None and self.clock() >= expiry:
-            del self.entries[key]
-            self.expirations += 1
-            return True
-        return False
-
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                value, expiry = entry
-                if not self._drop_expired(key, expiry):
-                    self.entries.move_to_end(key)
-                    self.hits += 1
-                    return value
-            self.misses += 1
-            return default
-
-    def put(self, key: Hashable, value: Any) -> None:
-        with self.lock:
-            self._insert(key, value)
-
-    def _insert(self, key: Hashable, value: Any) -> None:
-        if key in self.entries:
-            del self.entries[key]
-        while len(self.entries) >= self.capacity:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-        self.entries[key] = (value, self._expiry())
-
-    def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> tuple[Any, bool]:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                value, expiry = entry
-                if not self._drop_expired(key, expiry):
-                    self.entries.move_to_end(key)
-                    self.hits += 1
-                    return value, True
-            self.misses += 1
-            value = factory()
-            self._insert(key, value)
-            return value, False
-
-    def invalidate(self, key: Hashable) -> bool:
-        with self.lock:
-            if key in self.entries:
-                del self.entries[key]
-                return True
-            return False
-
-    def corrupt(self, key: Hashable, sentinel: Any) -> bool:
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is None:
-                return False
-            # Preserve expiry and LRU position: corruption replaces the
-            # value in place, it is not a (re)insertion.
-            self.entries[key] = (sentinel, entry[1])
-            return True
-
-    def stats(self) -> CacheStats:
-        with self.lock:
-            return CacheStats(
-                hits=self.hits,
-                misses=self.misses,
-                evictions=self.evictions,
-                expirations=self.expirations,
-                entries=len(self.entries),
-            )
-
-    def clear(self) -> None:
-        with self.lock:
-            self.entries.clear()
-
 
 class SplitContextCache:
-    """Sharded LRU+TTL cache keyed by split content address.
+    """LRU+TTL cache keyed by split content address, behind one lock.
 
     Parameters
     ----------
     capacity:
-        Maximum number of resident entries across all shards.  The budget
-        is divided over the shards (the first ``capacity % n_shards``
-        shards hold one extra entry), so the total can never exceed
-        *capacity*; when ``capacity < n_shards`` the shard count is
-        reduced to match.
+        Maximum number of resident entries; inserting past it evicts the
+        least recently used entry.
     ttl:
         Entry lifetime in seconds measured from insertion; ``None`` (the
         default) disables expiry.  A lookup past the lifetime behaves as a
         miss and drops the entry.
-    n_shards:
-        Number of independently locked segments.  Keys are routed with a
-        seed-independent CRC so placement is reproducible across processes;
-        use ``n_shards=1`` when deterministic *global* LRU order matters
-        (e.g. in eviction tests).
     clock:
         Monotonic time source, injectable for tests.
     fault_injector:
@@ -232,7 +116,6 @@ class SplitContextCache:
         self,
         capacity: int = 64,
         ttl: float | None = None,
-        n_shards: int = 4,
         clock: Callable[[], float] = time.monotonic,
         fault_injector: FaultInjector | None = None,
     ) -> None:
@@ -240,63 +123,88 @@ class SplitContextCache:
             raise ValueError("capacity must be >= 1")
         if ttl is not None and ttl <= 0:
             raise ValueError("ttl must be positive (or None to disable expiry)")
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
         self.capacity = int(capacity)
         self.ttl = ttl
         self.fault_injector = fault_injector
         #: Faults actually applied to resident entries (chaos assertions).
         self.injected_evictions = 0
         self.injected_corruptions = 0
-        n_shards = min(n_shards, self.capacity)
-        base, extra = divmod(self.capacity, n_shards)
-        self._shards = tuple(
-            _Shard(base + (1 if index < extra else 0), ttl, clock)
-            for index in range(n_shards)
-        )
+        self._clock = clock
+        self._lock = threading.Lock()
+        #: key -> (value, expiry timestamp or None), most recently used last.
+        self._entries: "OrderedDict[Hashable, tuple[Any, float | None]]" = OrderedDict()
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._expirations = 0
 
-    # ------------------------------------------------------------- routing
-    def shard_index(self, key: Hashable) -> int:
-        """Deterministic shard routing for *key* (stable across processes).
+    # ---------------------------------------------- internals (lock held)
+    def _lookup(self, key: Hashable) -> tuple[Any, bool]:
+        """``(value, found)``, counting the hit or miss and dropping an expired entry."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            value, expiry = entry
+            if expiry is None or self._clock() < expiry:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return value, True
+            del self._entries[key]
+            self._expirations += 1
+        self._misses += 1
+        return None, False
 
-        Uses CRC-32 of ``repr(key)`` rather than :func:`hash`, which varies
-        per process under ``PYTHONHASHSEED`` randomisation.
-        """
-        return zlib.crc32(repr(key).encode()) % len(self._shards)
-
-    def _shard(self, key: Hashable) -> _Shard:
-        return self._shards[self.shard_index(key)]
+    def _insert(self, key: Hashable, value: Any) -> None:
+        self._entries.pop(key, None)
+        while len(self._entries) >= self.capacity:
+            self._entries.popitem(last=False)
+            self._evictions += 1
+        expiry = None if self.ttl is None else self._clock() + self.ttl
+        self._entries[key] = (value, expiry)
 
     def _maybe_inject(self, key: Hashable) -> None:
         """Fire scheduled cache faults against *key* before a lookup."""
         injector = self.fault_injector
         if injector is None:
             return
-        shard = self._shard(key)
-        if injector.fires("cache_evict") and shard.invalidate(key):
+        if injector.fires("cache_evict") and self.invalidate(key):
             self.injected_evictions += 1
-        if injector.fires("cache_corrupt") and shard.corrupt(key, CorruptedEntry(key)):
-            self.injected_corruptions += 1
+        if injector.fires("cache_corrupt"):
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is not None:
+                    # Preserve expiry and LRU position: corruption replaces
+                    # the value in place, it is not a (re)insertion.
+                    self._entries[key] = (CorruptedEntry(key), entry[1])
+                    self.injected_corruptions += 1
 
     # ------------------------------------------------------------- operations
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Value stored under *key*, or *default* on a miss/expiry."""
         self._maybe_inject(key)
-        return self._shard(key).get(key, default)
+        with self._lock:
+            value, found = self._lookup(key)
+        return value if found else default
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert *value* under *key* (refreshing LRU position and TTL)."""
-        self._shard(key).put(key, value)
+        with self._lock:
+            self._insert(key, value)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> tuple[Any, bool]:
         """Return ``(value, hit)``, building the value on a miss.
 
-        The factory runs under the shard lock, so concurrent requests for
-        the same key trigger exactly one build; requests for keys on other
-        shards proceed unblocked in parallel.
+        The factory runs under the cache lock, so concurrent requests for
+        the same key trigger exactly one build; it must stay cheap (the
+        service's factory builds an empty split state — training happens
+        later, under that state's own lock).
         """
         self._maybe_inject(key)
-        return self._shard(key).get_or_create(key, factory)
+        with self._lock:
+            value, hit = self._lookup(key)
+            if not hit:
+                value = factory()
+                self._insert(key, value)
+            return value, hit
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop *key* if resident; True when an entry was removed.
@@ -312,82 +220,50 @@ class SplitContextCache:
             >>> cache.invalidate("key")
             False
         """
-        return self._shard(key).invalidate(key)
+        with self._lock:
+            return self._entries.pop(key, None) is not None
 
     # ------------------------------------------------------------- inspection
     def stats(self) -> CacheStats:
-        """Aggregated counters across all shards."""
-        total = CacheStats()
-        for shard in self._shards:
-            total = total + shard.stats()
-        return total
+        """Counters since construction, plus the resident entry count."""
+        with self._lock:
+            return CacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                evictions=self._evictions,
+                expirations=self._expirations,
+                entries=len(self._entries),
+            )
 
     def snapshot(self) -> dict:
-        """The cache's full JSON accounting (the ``stats``/``metrics`` verbs).
+        """The cache's JSON accounting (``metrics.cache`` on the wire).
 
-        Aggregate counters, the derived ``hit_rate`` (``None`` before any
-        lookup), the configured ``capacity``, and the per-shard breakdown —
-        exactly the dict served under ``{"op": "stats"}``.
+        The counters of :meth:`stats`, the derived ``hit_rate`` (``None``
+        before any lookup) and the configured ``capacity``.
 
         Examples::
 
-            >>> cache = SplitContextCache(capacity=4, n_shards=2)
+            >>> cache = SplitContextCache(capacity=4)
             >>> cache.put("key", "value")
             >>> _ = cache.get("key"); _ = cache.get("absent")
             >>> snap = cache.snapshot()
-            >>> (snap["hits"], snap["misses"], snap["hit_rate"], len(snap["shards"]))
-            (1, 1, 0.5, 2)
+            >>> (snap["hits"], snap["misses"], snap["hit_rate"], snap["capacity"])
+            (1, 1, 0.5, 4)
         """
-        per_shard = self.shard_stats()
-        total = CacheStats()
-        for stats in per_shard:
-            total = total + stats
-        lookups = total.hits + total.misses
+        stats = self.stats()
+        lookups = stats.hits + stats.misses
         return {
-            "hits": total.hits,
-            "misses": total.misses,
-            "evictions": total.evictions,
-            "expirations": total.expirations,
-            "entries": total.entries,
-            "hit_rate": (total.hits / lookups) if lookups else None,
+            **dataclasses.asdict(stats),
+            "hit_rate": (stats.hits / lookups) if lookups else None,
             "capacity": self.capacity,
-            "shards": [
-                {
-                    "hits": stats.hits,
-                    "misses": stats.misses,
-                    "evictions": stats.evictions,
-                    "expirations": stats.expirations,
-                    "entries": stats.entries,
-                }
-                for stats in per_shard
-            ],
         }
-
-    def shard_stats(self) -> tuple[CacheStats, ...]:
-        """Per-shard counters, in shard-index order.
-
-        The aggregate :meth:`stats` hides routing skew; this exposes it
-        (``repro-serve`` reports both in its ``stats`` reply).
-
-        Examples::
-
-            >>> cache = SplitContextCache(capacity=4, n_shards=2)
-            >>> cache.put("key", "value")
-            >>> sum(stats.entries for stats in cache.shard_stats())
-            1
-        """
-        return tuple(shard.stats() for shard in self._shards)
 
     def clear(self) -> None:
         """Drop every resident entry (counters are preserved)."""
-        for shard in self._shards:
-            shard.clear()
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        """Number of resident entries across all shards."""
-        return self.stats().entries
-
-    @property
-    def n_shards(self) -> int:
-        """Number of independently locked shards."""
-        return len(self._shards)
+        """Number of resident entries."""
+        with self._lock:
+            return len(self._entries)

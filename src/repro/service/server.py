@@ -15,8 +15,7 @@ Request objects::
      "target_machines": ["m010", "m011"],        # optional: default = rest
      "method": "NN^T", "top_n": 3,               # both optional
      "deadline_ms": 250}                         # optional reply budget
-    {"op": "stats"}                              # cache/serving counters
-    {"op": "health"}                             # resilience state
+    {"op": "health"}                             # resilience state + line-up
     {"op": "ready"}                              # accepting requests?
     {"op": "metrics"}                            # counters/histograms/traces
 
@@ -29,8 +28,7 @@ Reply objects (one line per request, in request order)::
 
 Every error reply carries a stable machine-readable ``code`` from
 :data:`repro.service.errors.ERROR_CODES`; clients branch on the code, not
-the message.  ``{"stats": true}`` is accepted as a legacy alias of
-``{"op": "stats"}``.  Every ranking reply — success or error — echoes a
+the message.  Every ranking reply — success or error — echoes a
 ``trace`` object: a server-assigned id (or the request's own ``trace_id``
 field, if it sent one) plus the per-stage latency spans of
 :data:`repro.service.observability.TRACE_STAGES`, so a deadline miss is
@@ -62,7 +60,7 @@ from repro.experiments.methods import standard_methods
 from repro.service.api import PredictionService, RankingQuery, RankingReply, ServiceError
 from repro.service.batching import MicroBatcher
 from repro.service.cache import SplitContextCache
-from repro.service.errors import ERROR_CODES, RETRYABLE_CODES
+from repro.service.errors import ERROR_CODES, RETRYABLE_CODES, DeadlineExceededError
 from repro.service.faults import FaultInjector, injector_from_env
 from repro.service.observability import MetricsRegistry, PeriodicSnapshot, Trace
 from repro.service.resilience import CircuitBreaker, Deadline, ResilientBackend, RetryPolicy
@@ -200,24 +198,10 @@ def _error_payload(message: str, code: str = "INVALID_REQUEST") -> dict[str, Any
 
 
 def _error_from_exception(exc: Exception) -> dict[str, Any]:
-    """The error reply an exception maps to (its ``code`` attribute, else INTERNAL)."""
-    code = getattr(exc, "code", "INTERNAL")
-    if code not in ERROR_CODES:
-        code = "INTERNAL"
-    return _error_payload(str(exc), code=code)
-
-
-def _stats_payload(service: PredictionService) -> dict[str, Any]:
-    """The ``{"op": "stats"}`` reply: split-state cache counters + line-up.
-
-    Exposes the full :class:`~repro.service.cache.SplitContextCache`
-    accounting — aggregate hit/miss/eviction/expiration counters, the
-    derived hit rate, capacity, and the per-shard breakdown (which reveals
-    routing skew the aggregate hides).
-    """
-    stats = service.cache.snapshot()
-    stats["methods"] = sorted(service.methods)
-    return {"ok": True, "stats": stats}
+    """The error reply for *exc*: a ServiceError's taxonomy code, else INTERNAL."""
+    if isinstance(exc, ServiceError) and exc.code in ERROR_CODES:
+        return _error_payload(str(exc), code=exc.code)
+    return _error_payload(f"internal error: {exc}", code="INTERNAL")
 
 
 def _metrics_payload(
@@ -243,9 +227,8 @@ def _metrics_payload(
     """
     snapshot = service.metrics.snapshot()
     snapshot["cache"] = service.cache.snapshot()
-    backend = getattr(service, "resilient_backend", None)
-    if backend is not None:
-        snapshot["backend"] = backend.snapshot()
+    if service.backend is not None:
+        snapshot["backend"] = service.backend.snapshot()
     if batcher is not None:
         snapshot["batcher"] = batcher.snapshot()
     return {"ok": True, "metrics": snapshot}
@@ -259,6 +242,7 @@ def _health_payload(
     ``status`` is ``"ok"`` while the backend breaker is closed,
     ``"degraded"`` while it is open or probing (requests are served by the
     NumPy fallback), and ``"draining"`` once shutdown has begun.
+    ``methods`` is the served method line-up.
 
     Examples::
 
@@ -267,11 +251,11 @@ def _health_payload(
         ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
         ... )
         >>> health = _health_payload(service)
-        >>> (health["ok"], health["status"], health["ready"])
-        (True, 'ok', True)
+        >>> (health["ok"], health["status"], health["ready"], health["methods"])
+        (True, 'ok', True, ['NN^T'])
     """
-    backend = getattr(service, "resilient_backend", None)
-    injector: FaultInjector | None = getattr(service, "fault_injector", None)
+    backend = service.backend
+    injector = service.fault_injector
     draining = batcher.draining if batcher is not None else False
     breaker_state = backend.breaker.state if backend is not None else "closed"
     if draining:
@@ -284,10 +268,11 @@ def _health_payload(
         "ok": True,
         "status": status,
         "ready": not draining,
+        "methods": sorted(service.methods),
         "degraded_served": service.degraded_served,
         "corrupt_entries_dropped": service.corrupt_entries_dropped,
         "cache": {
-            "entries": service.cache_stats().entries,
+            "entries": len(service.cache),
             "injected_evictions": service.cache.injected_evictions,
             "injected_corruptions": service.cache.injected_corruptions,
         },
@@ -317,19 +302,15 @@ def _handle_op(
 ) -> dict[str, Any] | None:
     """Dispatch a protocol verb; ``None`` when the payload is a ranking query."""
     op = payload.get("op")
-    if op is None and payload.get("stats"):
-        op = "stats"  # legacy {"stats": true} form
     if op is None:
         return None
-    if op == "stats":
-        return _stats_payload(service)
     if op == "health":
         return _health_payload(service, batcher)
     if op == "ready":
         return _ready_payload(service, batcher)
     if op == "metrics":
         return _metrics_payload(service, batcher)
-    return _error_payload(f"unknown op {op!r} (known: health, metrics, ready, stats)")
+    return _error_payload(f"unknown op {op!r} (known: health, metrics, ready)")
 
 
 def _trace_for(payload: Any) -> Trace:
@@ -371,11 +352,30 @@ def _finish_reply(
     return payload
 
 
-def _answer_line(service: PredictionService, line: str) -> dict[str, Any]:
-    """One request line in, one reply object out (never raises)."""
+def _too_large(service: PredictionService, max_line_bytes: int) -> dict[str, Any]:
+    """The ``PAYLOAD_TOO_LARGE`` reply to a request line past the bound."""
+    return _finish_reply(
+        service,
+        Trace(),
+        time.monotonic(),
+        _error_payload(
+            f"request line exceeds {max_line_bytes} bytes", code="PAYLOAD_TOO_LARGE"
+        ),
+    )
+
+
+def _admit(
+    service: PredictionService, text: str, batcher: MicroBatcher | None = None
+) -> dict[str, Any] | tuple[RankingQuery, float]:
+    """Parse one request line, up to the point where it must be ranked.
+
+    Returns a finished reply for a protocol verb or a request that fails to
+    parse (``INVALID_JSON`` / ``INVALID_REQUEST``); otherwise the query,
+    carrying its trace, and the request's start time for :func:`_respond`.
+    """
     started = time.monotonic()
     try:
-        payload = json.loads(line)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         return _finish_reply(
             service,
@@ -384,48 +384,101 @@ def _answer_line(service: PredictionService, line: str) -> dict[str, Any]:
             _error_payload(f"invalid JSON: {exc}", code="INVALID_JSON"),
         )
     if isinstance(payload, Mapping):
-        op_reply = _handle_op(service, payload)
+        op_reply = _handle_op(service, payload, batcher)
         if op_reply is not None:
             return op_reply
     trace = _trace_for(payload)
     trace.begin("admission")
     try:
         query = query_from_payload(payload)
-        trace.end("admission")
-        query = dataclasses.replace(query, trace=trace)
-        reply = service.rank(query)
-        if query.deadline is not None and query.deadline.expired:
-            return _finish_reply(
-                service,
-                trace,
-                started,
-                _error_payload(
-                    "deadline exceeded before the reply could be written",
-                    code="DEADLINE_EXCEEDED",
-                ),
-            )
-        with trace.span("reply"):
-            reply_payload = reply_to_payload(reply)
-        return _finish_reply(service, trace, started, reply_payload)
-    except ServiceError as exc:
+    except Exception as exc:  # noqa: BLE001 - a bad request must never kill the loop
         return _finish_reply(service, trace, started, _error_from_exception(exc))
-    except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
-        return _finish_reply(
-            service, trace, started, _error_payload(f"internal error: {exc}", code="INTERNAL")
+    trace.end("admission")
+    return dataclasses.replace(query, trace=trace), started
+
+
+def _respond(
+    service: PredictionService,
+    query: RankingQuery,
+    started: float,
+    outcome: RankingReply | Exception,
+) -> dict[str, Any]:
+    """The wire reply for a ranked query: its ranking, or its error.
+
+    A ranking whose deadline elapsed while it was computed is answered with
+    ``DEADLINE_EXCEEDED`` instead of a stale result.
+    """
+    if (
+        isinstance(outcome, RankingReply)
+        and query.deadline is not None
+        and query.deadline.expired
+    ):
+        outcome = DeadlineExceededError(
+            "deadline exceeded before the reply could be written"
         )
+    if isinstance(outcome, RankingReply):
+        with query.trace.span("reply"):
+            payload = reply_to_payload(outcome)
+    else:
+        payload = _error_from_exception(outcome)
+    return _finish_reply(service, query.trace, started, payload)
+
+
+def _answer_line(service: PredictionService, line: str) -> dict[str, Any]:
+    """One request line in, one reply object out (never raises)."""
+    admitted = _admit(service, line)
+    if isinstance(admitted, dict):
+        return admitted
+    query, started = admitted
+    try:
+        outcome = service.rank(query)
+    except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
+        outcome = exc
+    return _respond(service, query, started, outcome)
 
 
 # ------------------------------------------------------------------- clients
-class InProcessClient:
+class _RetryingClient:
+    """The retry loop both clients share.
+
+    :meth:`_request` re-sends a request whose reply carries a retryable
+    error code (``OVERLOADED`` / ``BACKEND_FAILURE`` / ``INTERNAL``) or
+    whose exchange failed with ``OSError``, sleeping the
+    :class:`~repro.service.resilience.RetryPolicy`'s full-jitter delays in
+    between — safe because every ranking request is idempotent by content
+    fingerprint.  The last attempt's reply is returned whatever its code;
+    its ``OSError`` propagates.  Without a policy there is one attempt.
+    """
+
+    def __init__(self, retry: RetryPolicy | None, sleep: Callable[[float], None]) -> None:
+        self.retry = retry
+        self._sleep = sleep
+        #: Requests re-sent after a connection failure or retryable error reply.
+        self.retries = 0
+
+    def _request(self, send: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+        delays = self.retry.delays() if self.retry is not None else ()
+        for delay in delays:
+            try:
+                reply = send()
+            except OSError:
+                pass  # connection failure: the next attempt re-dials
+            else:
+                if reply.get("ok") or reply.get("code") not in RETRYABLE_CODES:
+                    return reply
+            self._sleep(delay)
+            self.retries += 1
+        return send()
+
+
+class InProcessClient(_RetryingClient):
     """Synchronous client driving a service through the wire protocol.
 
     Useful in examples and tests: requests and replies take exactly the
     shape the stdio/TCP servers exchange, without a process boundary.
-    When built with a :class:`~repro.service.resilience.RetryPolicy`, a
-    reply whose error code is retryable (``OVERLOADED`` /
-    ``BACKEND_FAILURE`` / ``INTERNAL``) is retried with full-jitter
-    exponential backoff — safe because every ranking request is idempotent
-    by content fingerprint.
+    When built with a :class:`~repro.service.resilience.RetryPolicy`,
+    retryable error replies are retried with backoff (see
+    :class:`_RetryingClient`); by default each request is sent once.
 
     Examples::
 
@@ -450,41 +503,25 @@ class InProcessClient:
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        super().__init__(retry, sleep)
         self.service = service
-        self.retry = retry
-        self._sleep = sleep
-        #: Requests re-sent after a retryable error reply.
-        self.retries = 0
 
     def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Send one request object, get its reply object (retrying if configured)."""
         line = json.dumps(payload)
-        reply = _answer_line(self.service, line)
-        if self.retry is None:
-            return reply
-        for delay in self.retry.delays():
-            if reply.get("ok") or reply.get("code") not in RETRYABLE_CODES:
-                return reply
-            self._sleep(delay)
-            self.retries += 1
-            reply = _answer_line(self.service, line)
-        return reply
-
-    def rank(self, query: RankingQuery) -> RankingReply:
-        """Typed convenience bypassing JSON: answer one query directly."""
-        return self.service.rank(query)
+        return self._request(lambda: _answer_line(self.service, line))
 
 
-class TCPClient:
+class TCPClient(_RetryingClient):
     """Blocking JSON-lines client for the TCP front end, with retries.
 
     Maintains one connection, re-establishing it transparently when the
     server (or an injected ``conn_drop`` fault) closes it mid-conversation.
     Connection failures and retryable error replies are retried under the
-    :class:`~repro.service.resilience.RetryPolicy` — full-jitter backoff,
-    safe because ranking requests are idempotent by content fingerprint.
-    A non-retryable error reply is returned as-is; exhausting every
-    attempt on connection failures re-raises the last ``OSError``.
+    :class:`~repro.service.resilience.RetryPolicy` (see
+    :class:`_RetryingClient`).  A non-retryable error reply is returned
+    as-is; exhausting every attempt on connection failures re-raises the
+    last ``OSError``.
 
     Use as a context manager::
 
@@ -500,15 +537,12 @@ class TCPClient:
         timeout: float = 10.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
+        super().__init__(retry if retry is not None else RetryPolicy(), sleep)
         self.host = host
         self.port = int(port)
-        self.retry = retry if retry is not None else RetryPolicy()
         self.timeout = timeout
-        self._sleep = sleep
         self._sock: socket.socket | None = None
         self._file = None
-        #: Requests re-sent after a drop or retryable error reply.
-        self.retries = 0
 
     # --------------------------------------------------------- connection
     def connect(self) -> None:
@@ -544,38 +578,26 @@ class TCPClient:
 
     # ----------------------------------------------------------- requests
     def _roundtrip(self, line: bytes) -> dict[str, Any]:
-        self.connect()
-        assert self._file is not None
-        self._file.write(line + b"\n")
-        self._file.flush()
-        reply_line = self._file.readline()
-        if not reply_line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(reply_line.decode())
+        """One exchange; a failed one closes the connection and raises ``OSError``."""
+        try:
+            self.connect()
+            self._file.write(line + b"\n")
+            self._file.flush()
+            reply_line = self._file.readline()
+            if not reply_line:
+                raise ConnectionError("server closed the connection")
+            return json.loads(reply_line.decode())
+        except OSError:  # ConnectionError and timeouts included
+            self.close()
+            raise
+        except ValueError as exc:  # a torn JSON line from a mid-reply drop
+            self.close()
+            raise ConnectionError(str(exc)) from exc
 
     def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Send one request object, get its reply object (with retries)."""
         line = json.dumps(payload).encode()
-        delays = list(self.retry.delays())
-        last_error: OSError | None = None
-        for attempt in range(self.retry.max_attempts):
-            try:
-                reply = self._roundtrip(line)
-            except (OSError, ValueError) as exc:
-                # OSError covers ConnectionError + timeouts; ValueError is a
-                # torn JSON line from a connection dropped mid-reply.
-                self.close()
-                last_error = exc if isinstance(exc, OSError) else ConnectionError(str(exc))
-            else:
-                if reply.get("ok") or reply.get("code") not in RETRYABLE_CODES:
-                    return reply
-                last_error = None
-            if attempt < len(delays):
-                self._sleep(delays[attempt])
-                self.retries += 1
-        if last_error is not None:
-            raise last_error
-        return reply
+        return self._request(lambda: self._roundtrip(line))
 
 
 # ------------------------------------------------------------------ frontends
@@ -627,7 +649,7 @@ def serve_stdio(
         ...     build_default_dataset(), {"NN^T": BatchedLinearTransposition()}
         ... )
         >>> out = io.StringIO()
-        >>> serve_stdio(service, io.StringIO('{"op": "stats"}\\n'), out)
+        >>> serve_stdio(service, io.StringIO('{"op": "ready"}\\n'), out)
         1
         >>> json.loads(out.getvalue())["ok"]
         True
@@ -643,15 +665,7 @@ def serve_stdio(
     try:
         for line in _iter_text_lines(in_stream, max_line_bytes):
             if line is None:
-                reply = _finish_reply(
-                    service,
-                    Trace(),
-                    time.monotonic(),
-                    _error_payload(
-                        f"request line exceeds {max_line_bytes} bytes",
-                        code="PAYLOAD_TOO_LARGE",
-                    ),
-                )
+                reply = _too_large(service, max_line_bytes)
             elif not line.strip():
                 continue
             else:
@@ -760,61 +774,21 @@ async def serve_tcp(
     batcher = batcher if batcher is not None else MicroBatcher(
         service, window=window, max_batch=max_batch
     )
-    injector = (
-        fault_injector
-        if fault_injector is not None
-        else getattr(service, "fault_injector", None)
-    )
+    injector = fault_injector if fault_injector is not None else service.fault_injector
 
     async def answer(text: str) -> dict[str, Any]:
-        started = time.monotonic()
+        admitted = _admit(service, text, batcher)
+        if isinstance(admitted, dict):
+            return admitted
+        query, started = admitted
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return _finish_reply(
-                service,
-                Trace(),
-                started,
-                _error_payload(f"invalid JSON: {exc}", code="INVALID_JSON"),
-            )
-        if isinstance(payload, Mapping):
-            op_reply = _handle_op(service, payload, batcher)
-            if op_reply is not None:
-                return op_reply
-        trace = _trace_for(payload)
-        trace.begin("admission")
-        try:
-            query = query_from_payload(payload)
-            trace.end("admission")
-            query = dataclasses.replace(query, trace=trace)
-            reply = await batcher.submit(query)
-            if query.deadline is not None and query.deadline.expired:
-                return _finish_reply(
-                    service,
-                    trace,
-                    started,
-                    _error_payload(
-                        "deadline exceeded before the reply could be written",
-                        code="DEADLINE_EXCEEDED",
-                    ),
-                )
-            with trace.span("reply"):
-                reply_payload = reply_to_payload(reply)
-            return _finish_reply(service, trace, started, reply_payload)
-        except ServiceError as exc:
-            return _finish_reply(service, trace, started, _error_from_exception(exc))
-        except asyncio.CancelledError:
-            raise
+            outcome = await batcher.submit(query)
         except Exception as exc:  # noqa: BLE001
             # Answer tasks are awaited by the writer loop; an escaping
             # exception would kill the whole connection instead of the one
             # request that triggered it.
-            return _finish_reply(
-                service,
-                trace,
-                started,
-                _error_payload(f"internal error: {exc}", code="INTERNAL"),
-            )
+            outcome = exc
+        return _respond(service, query, started, outcome)
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         # One task per request line keeps pipelined requests of the same
@@ -848,17 +822,7 @@ async def serve_tcp(
                 if raw is None:
                     await slots.acquire()
                     oversize: asyncio.Future = loop.create_future()
-                    oversize.set_result(
-                        _finish_reply(
-                            service,
-                            Trace(),
-                            time.monotonic(),
-                            _error_payload(
-                                f"request line exceeds {max_line_bytes} bytes",
-                                code="PAYLOAD_TOO_LARGE",
-                            ),
-                        )
-                    )
+                    oversize.set_result(_too_large(service, max_line_bytes))
                     pending.put_nowait(oversize)
                     continue
                 text = raw.decode(errors="replace").strip()
@@ -896,7 +860,6 @@ def build_service(
     preset: str = "fast",
     cache_capacity: int = 64,
     cache_ttl: float | None = None,
-    cache_shards: int = 4,
     seed: int | None = None,
     backend: "str | None" = None,
     breaker_threshold: int = 3,
@@ -919,12 +882,12 @@ def build_service(
 
     Examples::
 
-        >>> service = build_service(preset="smoke", cache_capacity=8, cache_shards=2)
+        >>> service = build_service(preset="smoke", cache_capacity=8)
         >>> sorted(service.methods)
         ['GA-kNN', 'MLP^T', 'NN^T']
         >>> service.cache.capacity
         8
-        >>> service.resilient_backend.breaker.state
+        >>> service.backend.breaker.state
         'closed'
     """
     presets = {
@@ -949,20 +912,16 @@ def build_service(
     )
     dataset = build_default_dataset(noise_sigma=config.noise_sigma, seed=config.seed)
     cache = SplitContextCache(
-        capacity=cache_capacity,
-        ttl=cache_ttl,
-        n_shards=cache_shards,
-        fault_injector=injector,
+        capacity=cache_capacity, ttl=cache_ttl, fault_injector=injector
     )
-    service = PredictionService(
+    return PredictionService(
         dataset,
         standard_methods(config, backend=resilient),
         cache=cache,
         fault_injector=injector,
         metrics=metrics,
+        backend=resilient,
     )
-    service.resilient_backend = resilient
-    return service
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -996,9 +955,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="cached split lifetime in seconds (default: no expiry)",
-    )
-    parser.add_argument(
-        "--cache-shards", type=int, default=4, help="cache lock shards (default 4)"
     )
     parser.add_argument("--seed", type=int, default=None, help="override the dataset seed")
     parser.add_argument(
@@ -1058,7 +1014,6 @@ def main(argv: list[str] | None = None) -> int:
         preset=args.preset,
         cache_capacity=args.cache_capacity,
         cache_ttl=args.cache_ttl,
-        cache_shards=args.cache_shards,
         seed=args.seed,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,

@@ -346,14 +346,14 @@ def _chaos_stack(dataset, spec):
         breaker=CircuitBreaker(failure_threshold=2, cooldown=0.05),
         injector=injector,
     )
-    cache = SplitContextCache(capacity=8, n_shards=2, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset,
         {"NN^T": BatchedLinearTransposition(backend=backend)},
         cache=cache,
         fault_injector=injector,
+        backend=backend,
     )
-    service.resilient_backend = backend
     return service, injector, backend
 
 

@@ -3,7 +3,7 @@
 Pins the serving contracts the docs promise:
 
 * cache semantics — hit/miss counters, LRU eviction order, TTL expiry,
-  deterministic shard routing;
+  the capacity bound;
 * equivalence — service replies are bit-identical to the offline
   :func:`run_cross_validation` cells they correspond to;
 * micro-batching — coalesced batches answer exactly what one-at-a-time
@@ -51,7 +51,7 @@ def _nnt_service(dataset, **cache_kwargs):
 
 # ------------------------------------------------------------- cache semantics
 def test_cache_hit_and_miss_counters():
-    cache = SplitContextCache(capacity=4, n_shards=1)
+    cache = SplitContextCache(capacity=4)
     assert cache.get("absent") is None
     cache.put("key", "value")
     assert cache.get("key") == "value"
@@ -60,7 +60,7 @@ def test_cache_hit_and_miss_counters():
 
 
 def test_cache_lru_eviction_order():
-    cache = SplitContextCache(capacity=2, n_shards=1)
+    cache = SplitContextCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refreshes a: b is now least recent
@@ -72,7 +72,7 @@ def test_cache_lru_eviction_order():
 
 
 def test_cache_put_refreshes_existing_key_without_eviction():
-    cache = SplitContextCache(capacity=2, n_shards=1)
+    cache = SplitContextCache(capacity=2)
     cache.put("a", 1)
     cache.put("b", 2)
     cache.put("a", 10)                  # overwrite, not insert
@@ -83,7 +83,7 @@ def test_cache_put_refreshes_existing_key_without_eviction():
 
 def test_cache_ttl_expiry_with_injected_clock():
     now = [0.0]
-    cache = SplitContextCache(capacity=4, ttl=10.0, n_shards=1, clock=lambda: now[0])
+    cache = SplitContextCache(capacity=4, ttl=10.0, clock=lambda: now[0])
     cache.put("key", "value")
     now[0] = 9.9
     assert cache.get("key") == "value"
@@ -95,7 +95,7 @@ def test_cache_ttl_expiry_with_injected_clock():
 
 
 def test_cache_get_or_create_builds_once():
-    cache = SplitContextCache(capacity=4, n_shards=1)
+    cache = SplitContextCache(capacity=4)
     builds = []
     value, hit = cache.get_or_create("key", lambda: builds.append(1) or "built")
     assert (value, hit) == ("built", False)
@@ -104,28 +104,14 @@ def test_cache_get_or_create_builds_once():
     assert len(builds) == 1
 
 
-def test_cache_shard_routing_is_deterministic_and_in_range():
-    cache = SplitContextCache(capacity=8, n_shards=4)
-    keys = [("fp", ("m1",), ("m2",)), ("fp", ("m3",), ("m4",)), "plain"]
-    for key in keys:
-        index = cache.shard_index(key)
-        assert 0 <= index < cache.n_shards
-        assert cache.shard_index(key) == index
-
-
 def test_cache_total_capacity_is_never_exceeded():
-    # 5 entries over 4 shards: the budget is split 2+1+1+1, so the resident
-    # total can never overshoot the configured capacity.
-    cache = SplitContextCache(capacity=5, n_shards=4)
-    for index in range(50):
-        cache.put(f"key-{index}", index)
-        assert len(cache) <= 5
-    # capacity < n_shards collapses to capacity shards of one entry each.
-    small = SplitContextCache(capacity=2, n_shards=4)
-    assert small.n_shards == 2
-    for index in range(20):
-        small.put(f"key-{index}", index)
-        assert len(small) <= 2
+    for capacity in (5, 2):
+        cache = SplitContextCache(capacity=capacity)
+        for index in range(10 * capacity):
+            cache.put(f"key-{index}", index)
+            assert len(cache) <= capacity
+        assert len(cache) == capacity
+        assert cache.stats().evictions == 9 * capacity
 
 
 def test_cache_validates_parameters():
@@ -133,8 +119,6 @@ def test_cache_validates_parameters():
         SplitContextCache(capacity=0)
     with pytest.raises(ValueError):
         SplitContextCache(ttl=0.0)
-    with pytest.raises(ValueError):
-        SplitContextCache(n_shards=0)
 
 
 # --------------------------------------------------------------- service facade
@@ -192,18 +176,18 @@ def test_service_rejects_bad_queries(dataset):
 
 
 def test_service_eviction_forces_retraining(dataset):
-    service = _nnt_service(dataset, capacity=1, n_shards=1)
+    service = _nnt_service(dataset, capacity=1)
     first = tuple(dataset.machine_ids[:5])
     second = tuple(dataset.machine_ids[5:10])
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False
     assert service.rank(RankingQuery("gcc", second)).cache_hit is False  # evicts first
     assert service.rank(RankingQuery("gcc", first)).cache_hit is False   # retrained
-    assert service.cache_stats().evictions == 2
+    assert service.cache.stats().evictions == 2
 
 
 def test_service_ttl_expires_trained_state(dataset):
     now = [0.0]
-    cache = SplitContextCache(capacity=8, ttl=60.0, n_shards=1, clock=lambda: now[0])
+    cache = SplitContextCache(capacity=8, ttl=60.0, clock=lambda: now[0])
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -213,7 +197,7 @@ def test_service_ttl_expires_trained_state(dataset):
     assert service.rank(query).cache_hit is True
     now[0] = 61.0
     assert service.rank(query).cache_hit is False
-    assert service.cache_stats().expirations == 1
+    assert service.cache.stats().expirations == 1
 
 
 def test_service_methods_fill_lazily_and_independently(dataset):
@@ -557,12 +541,16 @@ def test_microbatcher_deadline_expiring_in_queue_fails_alone(dataset):
 
 
 def test_microbatcher_cancelled_caller_with_deadline_does_not_strand_batch(dataset):
-    """Cancellation and deadline handling interact safely inside one batch."""
+    """Cancellation and deadline handling interact safely inside one batch,
+    and a caller cancelled inside the window is never dispatched."""
     from repro.service import Deadline
 
     service = _nnt_service(dataset)
     machines = tuple(dataset.machine_ids[:4])
     generous = Deadline.after_ms(60_000)
+    batch_sizes = []
+    rank_many = service.rank_many
+    service.rank_many = lambda queries: batch_sizes.append(len(queries)) or rank_many(queries)
 
     async def run():
         batcher = MicroBatcher(service, window=5.0, max_batch=64)
@@ -580,6 +568,7 @@ def test_microbatcher_cancelled_caller_with_deadline_does_not_strand_batch(datas
             await cancelled
         assert reply.application == "mcf"
         assert batcher.inflight == 0  # accounting balanced after delivery
+        assert batch_sizes == [1] and batcher.requests_served == 1
 
     asyncio.run(asyncio.wait_for(run(), timeout=30))
 
@@ -611,7 +600,7 @@ def test_cache_injected_eviction_forces_retrain_but_correct_answer(dataset):
     from repro.service import FaultInjector, FaultPlan
 
     injector = FaultInjector(FaultPlan(seed=5, cache_evict=1.0))
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -631,7 +620,7 @@ def test_cache_injected_corruption_is_detected_and_rebuilt(dataset):
     from repro.service import FaultInjector, FaultPlan
 
     injector = FaultInjector(FaultPlan(seed=5, cache_corrupt=1.0))
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )
@@ -654,7 +643,7 @@ def test_cache_corruption_sentinel_never_reaches_clients(dataset):
     injector = FaultInjector(
         FaultPlan(seed=9, cache_evict=0.5, cache_corrupt=1.0)
     )
-    cache = SplitContextCache(capacity=8, n_shards=1, fault_injector=injector)
+    cache = SplitContextCache(capacity=8, fault_injector=injector)
     service = PredictionService(
         dataset, {"NN^T": BatchedLinearTransposition()}, cache=cache
     )

@@ -100,12 +100,12 @@ def test_in_process_client_speaks_the_wire_protocol(service, dataset):
     error = client.request({"application": "mcf"})
     assert error["ok"] is False and error["code"] == "INVALID_REQUEST"
     assert "predictive_machines" in error["error"]
-    stats = client.request({"stats": True})
-    assert stats["ok"] is True and stats["stats"]["entries"] >= 1
+    metrics = client.request({"op": "metrics"})
+    assert metrics["ok"] is True and metrics["metrics"]["cache"]["entries"] >= 1
 
 
 def test_stats_reply_exposes_full_cache_accounting(service, dataset):
-    """The stats response carries the SplitContextCache counters + shards."""
+    """``metrics.cache`` carries the SplitContextCache counters."""
     client = InProcessClient(service)
     client.request(
         {"application": "gcc", "predictive_machines": dataset.machine_ids[:4]}
@@ -113,21 +113,17 @@ def test_stats_reply_exposes_full_cache_accounting(service, dataset):
     client.request(
         {"application": "gcc", "predictive_machines": dataset.machine_ids[:4]}
     )
-    stats = client.request({"stats": True})["stats"]
+    stats = client.request({"op": "metrics"})["metrics"]["cache"]
     assert stats["misses"] >= 1 and stats["hits"] >= 1
     lookups = stats["hits"] + stats["misses"]
     assert stats["hit_rate"] == pytest.approx(stats["hits"] / lookups)
     assert stats["capacity"] == service.cache.capacity
-    assert len(stats["shards"]) == service.cache.n_shards
-    # Per-shard counters sum to the aggregates.
-    for key in ("hits", "misses", "evictions", "expirations", "entries"):
-        assert sum(shard[key] for shard in stats["shards"]) == stats[key]
     assert json.loads(json.dumps(stats)) == stats
 
 
 def test_stats_hit_rate_is_null_before_any_lookup():
-    fresh = build_service(preset="smoke", cache_capacity=4, cache_shards=2)
-    stats = InProcessClient(fresh).request({"stats": True})["stats"]
+    fresh = build_service(preset="smoke", cache_capacity=4)
+    stats = InProcessClient(fresh).request({"op": "metrics"})["metrics"]["cache"]
     assert stats["hit_rate"] is None and stats["entries"] == 0
 
 
@@ -140,7 +136,7 @@ def test_serve_stdio_answers_one_line_per_request(service, dataset):
             "",  # blank lines are skipped
             "not json",
             json.dumps({"application": "gcc", "predictive_machines": ["bogus"]}),
-            json.dumps({"stats": True}),
+            json.dumps({"op": "metrics"}),
         ]
     )
     out = io.StringIO()
@@ -151,7 +147,7 @@ def test_serve_stdio_answers_one_line_per_request(service, dataset):
     assert [entry["machine"] for entry in replies[0]["ranking"]]
     assert replies[1]["ok"] is False and replies[1]["code"] == "INVALID_JSON"
     assert replies[2]["ok"] is False and replies[2]["code"] == "INVALID_REQUEST"
-    assert replies[3]["ok"] is True and "stats" in replies[3]
+    assert replies[3]["ok"] is True and "cache" in replies[3]["metrics"]
 
 
 # ------------------------------------------------------------------------ tcp
@@ -166,7 +162,7 @@ def test_serve_tcp_round_trip(service, dataset):
             {"application": "gcc", "predictive_machines": machines, "top_n": 1},
             {"application": "namd", "predictive_machines": machines, "top_n": 1},
             {"application": "gcc", "predictive_machines": ["bogus"]},
-            {"stats": True},
+            {"op": "metrics"},
         ]
         for request in requests:
             writer.write((json.dumps(request) + "\n").encode())
@@ -182,7 +178,7 @@ def test_serve_tcp_round_trip(service, dataset):
     assert replies[0]["ok"] is True and replies[0]["application"] == "gcc"
     assert replies[1]["ok"] is True and replies[1]["application"] == "namd"
     assert replies[2]["ok"] is False and replies[2]["code"] == "INVALID_REQUEST"
-    assert replies[3]["ok"] is True and replies[3]["stats"]["entries"] >= 1
+    assert replies[3]["ok"] is True and replies[3]["metrics"]["cache"]["entries"] >= 1
 
 
 def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset):
@@ -221,12 +217,68 @@ def test_serve_tcp_pipelined_requests_coalesce_and_stay_ordered(service, dataset
     assert batcher.batches_dispatched - before < len(apps)
 
 
+# ------------------------------------------------------------- equivalence
+def test_stdio_and_tcp_front_ends_answer_identically(dataset):
+    """Both front ends share one request path: the same lines get the same
+    replies (rankings, error codes and messages), traces aside."""
+    machines = dataset.machine_ids[:4]
+    lines = [
+        json.dumps({"application": "gcc", "predictive_machines": machines, "top_n": 2}),
+        json.dumps({"application": "mcf", "predictive_machines": machines}),
+        "not json",
+        json.dumps({"application": "gcc", "predictive_machines": machines, "x": 1}),
+        json.dumps({"application": "gzip", "predictive_machines": machines}),
+        json.dumps({"application": "gcc", "predictive_machines": machines, "top_n": 0}),
+        json.dumps({"op": "levitate"}),
+        json.dumps({"op": "stats"}),
+        '{"application": "' + "x" * 4096 + '"}',
+    ]
+
+    def fresh():
+        return PredictionService(dataset, {"NN^T": BatchedLinearTransposition()})
+
+    out = io.StringIO()
+    serve_stdio(fresh(), io.StringIO("\n".join(lines) + "\n"), out, max_line_bytes=1024)
+    via_stdio = [json.loads(line) for line in out.getvalue().splitlines()]
+
+    async def run():
+        server = await serve_tcp(fresh(), "127.0.0.1", 0, max_line_bytes=1024)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        replies = []
+        for line in lines:  # one at a time, so batching cannot reorder training
+            writer.write((line + "\n").encode())
+            await writer.drain()
+            replies.append(json.loads(await reader.readline()))
+        writer.close()
+        await writer.wait_closed()
+        server.close()
+        await server.wait_closed()
+        return replies
+
+    via_tcp = asyncio.run(asyncio.wait_for(run(), timeout=30))
+    for reply in via_stdio + via_tcp:
+        reply.pop("trace", None)
+    assert via_tcp == via_stdio
+    assert [reply.get("code") for reply in via_stdio] == [
+        None,
+        None,
+        "INVALID_JSON",
+        "INVALID_REQUEST",
+        "INVALID_REQUEST",
+        "INVALID_REQUEST",
+        "INVALID_REQUEST",
+        "INVALID_REQUEST",
+        "PAYLOAD_TOO_LARGE",
+    ]
+    assert [reply.get("cache_hit") for reply in via_stdio[:2]] == [False, True]
+
+
 # ------------------------------------------------------------------------ cli
 def test_build_service_applies_preset_and_rejects_unknown():
-    service = build_service(preset="smoke", cache_capacity=8, cache_shards=2)
+    service = build_service(preset="smoke", cache_capacity=8)
     assert set(service.methods) == {"NN^T", "MLP^T", "GA-kNN"}
     assert service.cache.capacity == 8
-    assert service.cache.n_shards == 2
     with pytest.raises(ValueError):
         build_service(preset="warp-speed")
 
@@ -256,10 +308,10 @@ def test_health_and_ready_ops_report_ok_state(service):
 
 
 def test_health_reports_resilient_backend_breaker():
-    fresh = build_service(preset="smoke", cache_capacity=4, cache_shards=2)
+    fresh = build_service(preset="smoke", cache_capacity=4)
     health = InProcessClient(fresh).request({"op": "health"})
     assert health["backend"]["breaker"]["state"] == "closed"
-    assert health["backend"]["primary"] == fresh.resilient_backend.primary.name
+    assert health["backend"]["primary"] == fresh.backend.primary.name
     assert json.loads(json.dumps(health)) == health
 
 
@@ -424,33 +476,15 @@ def test_tcp_client_reconnects_after_connection_drop(service, dataset):
 
 
 # -------------------------------------------------------- stats & metrics ops
-def test_stats_op_and_legacy_alias_return_identical_payloads(service, dataset):
-    """``{"op": "stats"}`` and the legacy ``{"stats": true}`` are one verb."""
+def test_stats_verb_is_gone_and_health_lists_the_methods(service):
+    """The cache accounting lives under ``metrics.cache``; ``stats`` and its
+    ``{"stats": true}`` alias are unknown requests, and the method line-up
+    they reported is part of ``health``."""
     client = InProcessClient(service)
-    client.request(
-        {"application": "mcf", "predictive_machines": dataset.machine_ids[:4]}
-    )
-    via_op = client.request({"op": "stats"})
-    via_alias = client.request({"stats": True})
-    assert via_op == via_alias
-    assert via_op["ok"] is True and via_op["stats"]["methods"]
-
-
-def test_stats_shard_counters_match_cache_shard_stats(service, dataset):
-    """The wire payload's shards block is exactly ``cache.shard_stats()``."""
-    client = InProcessClient(service)
-    client.request(
-        {"application": "mcf", "predictive_machines": dataset.machine_ids[:4]}
-    )
-    shards = client.request({"op": "stats"})["stats"]["shards"]
-    direct = service.cache.shard_stats()
-    assert len(shards) == len(direct)
-    for wire, stats in zip(shards, direct):
-        assert wire["hits"] == stats.hits
-        assert wire["misses"] == stats.misses
-        assert wire["evictions"] == stats.evictions
-        assert wire["expirations"] == stats.expirations
-        assert wire["entries"] == stats.entries
+    for removed in ({"op": "stats"}, {"stats": True}):
+        reply = client.request(removed)
+        assert reply["ok"] is False and reply["code"] == "INVALID_REQUEST"
+    assert client.request({"op": "health"})["methods"] == sorted(service.methods)
 
 
 def test_stats_hit_rate_arithmetic_from_a_fresh_service(dataset):
@@ -465,7 +499,7 @@ def test_stats_hit_rate_arithmetic_from_a_fresh_service(dataset):
     request = {"application": "gcc", "predictive_machines": machines}
     assert client.request(request)["cache_hit"] is False
     assert client.request(request)["cache_hit"] is True
-    stats = client.request({"op": "stats"})["stats"]
+    stats = client.request({"op": "metrics"})["metrics"]["cache"]
     assert (stats["hits"], stats["misses"], stats["hit_rate"]) == (1, 1, 0.5)
 
 
@@ -502,7 +536,7 @@ def test_metrics_op_is_not_counted_as_server_load(service):
 def test_unknown_op_lists_the_full_verb_catalogue(service):
     reply = InProcessClient(service).request({"op": "bogus"})
     assert reply["ok"] is False and reply["code"] == "INVALID_REQUEST"
-    assert "health, metrics, ready, stats" in reply["error"]
+    assert "health, metrics, ready)" in reply["error"]
 
 
 # ----------------------------------------------------------------- trace echo
