@@ -13,12 +13,18 @@ under both engines:
 
 The contract test pins the acceptance criterion: on one core, the batched
 full-split evaluation must be ``>= 3x`` faster than the sequential loop it
-replaces, while returning bit-identical predictions.
+replaces, while returning bit-identical predictions.  Beside that noisy
+ratio, a deterministic one: the number of fitness evaluations and kernel
+calls each engine makes per split.  A second contract times the fitness
+kernel alone: the compiled ``gaknn_fitness`` must be ``>= 1.5x`` the NumPy
+pass on a split's real kernel calls, with bit-equal outputs.
 """
 
 import numpy as np
+import pytest
 
 from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
+from repro.core.backends import CompiledBackend, NumpyBackend
 from repro.data import family_cross_validation_splits
 from repro.ml.genetic import GAConfig
 
@@ -27,6 +33,10 @@ from conftest import interleaved_speedup, run_once
 #: Full-split speedup the batched GA-kNN path must deliver on one core
 #: (acceptance criterion: shared-statistics dedup + lockstep GA >= 3x).
 MIN_BATCHED_GAKNN_SPEEDUP = 3.0
+
+#: Speedup the compiled GA-kNN fitness kernel must deliver over the NumPy
+#: pass on the same calls (bit-equal outputs).
+MIN_COMPILED_GAKNN_SPEEDUP = 1.5
 
 #: The contract is measured at a fixed GA budget (the paper-faithful
 #: ``full``-preset budget), independent of REPRO_BENCH_PRESET: the smoke
@@ -46,9 +56,22 @@ def _sequential_split(dataset, split, applications, ga_config, k=10, seed=0):
     return scores
 
 
-def _batched_split(dataset, split, applications, ga_config, k=10, seed=0):
-    method = BatchedGAKNN(k=k, ga_config=ga_config, seed=seed)
+def _batched_split(dataset, split, applications, ga_config, k=10, seed=0, backend=None):
+    method = BatchedGAKNN(k=k, ga_config=ga_config, seed=seed, backend=backend)
     return method.predict_all_applications(dataset, split, applications)
+
+
+class _RecordingBackend:
+    """Forwards ``gaknn_fitness`` to *inner*, keeping every call's inputs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = []
+
+    def gaknn_fitness(self, genomes, pairwise_sq, scores, k):
+        self.calls.append((np.copy(genomes), pairwise_sq, scores, k))
+        return self.inner.gaknn_fitness(genomes, pairwise_sq, scores, k)
 
 
 def test_bench_gaknn_batched_split(benchmark, dataset, config):
@@ -89,3 +112,55 @@ def test_gaknn_batched_split_meets_speedup_contract(dataset):
         np.testing.assert_array_equal(batched[application], sequential[application])
     print(f"GA-kNN full split: median batched speedup {speedup:.1f}x")
     assert speedup >= MIN_BATCHED_GAKNN_SPEEDUP
+
+
+def test_gaknn_fitness_evaluations_per_split(dataset):
+    """Structural: fitness evaluations and kernel calls per split.
+
+    The sequential loop evaluates every genome of every generation for each
+    cell; the lockstep GA reuses elite fitnesses and evaluates the whole
+    split's population block in one kernel call per generation.
+    """
+    split = family_cross_validation_splits(dataset)[0]
+    applications = dataset.benchmark_names
+    cells, ga = len(applications), CONTRACT_GA
+    children = ga.population_size - ga.elitism
+
+    recorder = _RecordingBackend(NumpyBackend())
+    _batched_split(dataset, split, applications, ga, backend=recorder)
+    evaluations = sum(genomes.shape[0] * genomes.shape[1] for genomes, *_ in recorder.calls)
+    assert evaluations == cells * (ga.population_size + ga.generations * children)
+    assert len(recorder.calls) == ga.generations + 1
+
+    sequential = GAKNNBaseline(k=10, ga_config=ga, seed=0)
+    per_genome = sequential._loo_fitness
+    counted = []
+    sequential._loo_fitness = lambda *args: counted.append(1) or per_genome(*args)
+    for application in applications:
+        training = [b for b in applications if b != application]
+        sequential.predict_application_scores(dataset, split, application, training)
+    assert len(counted) == cells * ga.population_size * (ga.generations + 1)
+
+
+def test_compiled_gaknn_fitness_meets_speedup_contract(dataset):
+    """Acceptance: compiled GA-kNN fitness >= 1.5x the NumPy pass, bit-equal.
+
+    Both kernels replay the fitness calls of one full split's lockstep GA
+    (every cell, the contract GA budget).
+    """
+    if not CompiledBackend.is_available():
+        pytest.skip("no C compiler")
+    split = family_cross_validation_splits(dataset)[0]
+    recorder = _RecordingBackend(NumpyBackend())
+    _batched_split(dataset, split, dataset.benchmark_names, CONTRACT_GA, backend=recorder)
+
+    def replay(backend):
+        return lambda: [backend.gaknn_fitness(*call) for call in recorder.calls]
+
+    speedup, reference, compiled = interleaved_speedup(
+        replay(NumpyBackend()), replay(CompiledBackend()), pairs=5
+    )
+    for got, want in zip(compiled, reference):
+        np.testing.assert_array_equal(got, want)
+    print(f"GA-kNN fitness, {len(recorder.calls)} calls: median compiled speedup {speedup:.1f}x")
+    assert speedup >= MIN_COMPILED_GAKNN_SPEEDUP

@@ -34,16 +34,18 @@ The batched path exploits both redundancies:
   into shared ``(cells, ...)`` tensors instead of being rebuilt inside
   every GA; and
 * the 29 per-cell GAs collapse into one
-  :class:`~repro.ml.genetic.LockstepGeneticAlgorithm` whose fitness is a
-  single stacked ``(cells x population x benchmarks x benchmarks)`` tensor
-  pass per generation, with elite fitnesses deduplicated across
-  generations.
+  :class:`~repro.ml.genetic.LockstepGeneticAlgorithm` whose fitness is one
+  stacked ``(cells x population)`` call of the array backend's
+  ``gaknn_fitness`` kernel per generation
+  (:meth:`repro.core.backends.ArrayBackend.gaknn_fitness`), with elite
+  fitnesses deduplicated across generations.
 
-Results are **bit-identical** to the sequential per-cell path — the
-lockstep GA consumes the same seeded random stream every sequential cell
-consumed, and the stacked fitness kernel preserves the sequential
-reduction order element for element (``tests/test_batched_gaknn.py`` pins
-this across all 17 family splits).
+Results are **bit-identical** to the sequential per-cell path on every
+backend — the lockstep GA consumes the same seeded random stream every
+sequential cell consumed, and both fitness kernels (the NumPy tensor pass
+and the compiled one) preserve the sequential reduction order element for
+element (``tests/test_batched_gaknn.py`` pins this across all 17 family
+splits).
 """
 
 from __future__ import annotations
@@ -244,150 +246,19 @@ class BatchedGAKNN(GAKNNBaseline):
     module docstring).  Per-cell results are bit-identical to
     :meth:`GAKNNBaseline.predict_application_scores`.
 
+    ``backend`` is an :class:`~repro.core.backends.ArrayBackend` name or
+    instance for the fitness kernel (``None``: ``REPRO_BACKEND``, default
+    the compiled kernel); every backend gives the same bits.
+
     After a batched call, :attr:`learned_weights_by_application_` maps each
     application to its learned weight vector (:attr:`learned_weights_`
     keeps the last cell's weights for drop-in compatibility).
     """
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args, backend: "str | object | None" = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.backend = backend
         self.learned_weights_by_application_: dict[str, np.ndarray] = {}
-        self._fitness_scratch: dict[tuple, np.ndarray] = {}
-
-    # ----------------------------------------------------- stacked fitness
-    def _population_loo_fitness(
-        self,
-        genomes: np.ndarray,
-        pairwise_sq: np.ndarray,
-        scores: np.ndarray,
-    ) -> np.ndarray:
-        """Stacked leave-one-out fitness of ``(cells, pop, genes)`` genomes.
-
-        One tensor pass evaluates every genome of every cell's population:
-        *pairwise_sq* is ``(cells, characteristics, B, B)``, *scores* is
-        ``(cells, B, targets)``, and the return value is ``(cells, pop)``.
-        Each entry is bit-identical to :meth:`GAKNNBaseline._loo_fitness`
-        on the corresponding cell: the einsum contracts the characteristic
-        axis sequentially (matching the per-characteristic accumulation),
-        the neighbour selection reproduces the stable mergesort ordering
-        (a k-smallest partition whose boundary-tie rows fall back to the
-        full stable sort), and the k-neighbour score accumulation runs in
-        the same index order as the sequential ``einsum("nk,nkm->nm")``
-        contraction.
-        """
-        n_cells, n_pop, _ = genomes.shape
-        n_benchmarks = pairwise_sq.shape[2]
-        n_targets = scores.shape[2]
-        n_rows = n_cells * n_pop * n_benchmarks
-        k = min(self.k, n_benchmarks - 1)
-
-        distances = np.einsum(
-            "cpf,cfij->cpij",
-            genomes,
-            pairwise_sq,
-            out=self._scratch(("dist", n_cells, n_pop, n_benchmarks, n_benchmarks)),
-        )
-        np.sqrt(distances, out=distances)
-        diagonal = np.arange(n_benchmarks)
-        # A benchmark is never its own neighbour candidate.
-        distances[:, :, diagonal, diagonal] = np.inf
-
-        # Stable k-smallest selection: partition out the k nearest, then
-        # mergesort just those candidates.  Index-sorting the candidate set
-        # first makes the mergesort tie-break (lowest index wins) match a
-        # full stable sort.
-        candidates = np.ascontiguousarray(
-            np.argpartition(distances, k - 1, axis=-1)[..., :k]
-        ).reshape(-1, k)
-        candidates.sort(axis=-1)
-        flat_dist = distances.reshape(n_rows * n_benchmarks)
-        row_base = self._index_base(n_rows, n_benchmarks)
-        sub_base = self._index_base(n_rows, k)
-        candidates += row_base
-        candidate_dist = flat_dist.take(candidates)
-        candidates -= row_base
-        suborder = np.argsort(candidate_dist, axis=-1, kind="mergesort")
-        suborder += sub_base
-        order = candidates.take(suborder)
-        neighbour_dist = candidate_dist.take(suborder)
-        # The candidate *set* is ambiguous exactly when distances tying the
-        # k-th smallest straddle the partition boundary; those rare rows
-        # fall back to the full stable sort.
-        boundary = neighbour_dist[:, -1].reshape(n_cells, n_pop, n_benchmarks, 1)
-        ambiguous = ((distances <= boundary).sum(axis=-1) > k).reshape(-1)
-        if ambiguous.any():
-            dist_rows = distances.reshape(-1, n_benchmarks)
-            for row in np.nonzero(ambiguous)[0]:
-                full = np.argsort(dist_rows[row], kind="mergesort")[:k]
-                order[row] = full
-                neighbour_dist[row] = dist_rows[row][full]
-        order = order.reshape(n_cells, n_pop, n_benchmarks, k)
-        neighbour_dist = neighbour_dist.reshape(n_cells, n_pop, n_benchmarks, k)
-
-        # Zero distances (duplicate feature vectors) are rare: skip the
-        # guard entirely when none exist — 1/x on the same values is the
-        # same arithmetic the guarded path performs.
-        if neighbour_dist.min() == 0.0:
-            zero = neighbour_dist == 0.0
-            inverse = 1.0 / np.where(zero, 1.0, neighbour_dist)
-            zero_rows = zero.any(axis=-1)
-        else:
-            inverse = 1.0 / neighbour_dist
-            zero_rows = None
-        # Accumulate neighbour scores in k order — the same sequential
-        # contraction order as einsum("nk,nkm->nm") in the per-cell path.
-        # Neighbour-major index copy so each gather reads a contiguous
-        # index row; reused scratch buffers keep the loop allocation-free.
-        flat_scores = scores.reshape(n_cells * n_benchmarks, n_targets)
-        cell_offset = self._index_base(n_cells, n_benchmarks).reshape(n_cells, 1, 1, 1)
-        neighbour_major = np.ascontiguousarray(
-            (order + cell_offset).reshape(-1, k).T
-        )
-        block = (n_cells, n_pop, n_benchmarks, n_targets)
-        predicted = self._scratch(("acc",) + block)
-        gathered = self._scratch(("gather",) + block)
-        predicted_flat = predicted.reshape(-1, n_targets)
-        gathered_flat = gathered.reshape(-1, n_targets)
-        np.take(flat_scores, neighbour_major[0], axis=0, out=predicted_flat)
-        predicted *= inverse[..., 0, None]
-        for j in range(1, k):
-            np.take(flat_scores, neighbour_major[j], axis=0, out=gathered_flat)
-            gathered *= inverse[..., j, None]
-            predicted += gathered
-        predicted /= inverse.sum(axis=-1)[..., None]
-
-        if zero_rows is not None and zero_rows.any():
-            for c, p, i in zip(*np.nonzero(zero_rows)):
-                exact = order[c, p, i][neighbour_dist[c, p, i] == 0.0]
-                predicted[c, p, i] = scores[c][exact].mean(axis=0)
-
-        # In-place |predicted - scores| / scores, same arithmetic chain as
-        # the sequential error computation.
-        np.subtract(predicted, scores[:, None], out=predicted)
-        np.abs(predicted, out=predicted)
-        predicted /= scores[:, None]
-        return predicted.mean(axis=-1).mean(axis=-1)
-
-    def _scratch(self, key: tuple) -> np.ndarray:
-        """Reusable float buffer for the hot fitness pass.
-
-        *key* is ``(tag, *shape)`` — the tag keeps same-shaped buffers with
-        different roles from aliasing each other.
-        """
-        buffer = self._fitness_scratch.get(key)
-        if buffer is None:
-            buffer = np.empty(key[1:])
-            self._fitness_scratch[key] = buffer
-        return buffer
-
-    def _index_base(self, n_rows: int, stride: int) -> np.ndarray:
-        """Cached ``(n_rows, 1)`` column of flat row offsets ``i * stride``."""
-        key = ("base", n_rows, stride)
-        base = self._fitness_scratch.get(key)
-        if base is None:
-            base = (np.arange(n_rows, dtype=np.intp) * stride)[:, None]
-            self._fitness_scratch[key] = base
-        return base
 
     # ------------------------------------------------------------- batching
     def predict_all_applications(
@@ -475,23 +346,16 @@ class BatchedGAKNN(GAKNNBaseline):
         pairwise_sq = np.ascontiguousarray(np.stack(pairwise_blocks))
         scores = np.ascontiguousarray(np.stack(score_blocks))
 
-        ga = LockstepGeneticAlgorithm(
+        from repro.core.backends import resolve_backend
+
+        backend = resolve_backend(self.backend)
+        best = LockstepGeneticAlgorithm(
             n_problems=len(app_rows),
             genome_length=pairwise_sq.shape[1],
-            fitness=lambda block: self._population_loo_fitness(
-                block, pairwise_sq, scores
-            ),
+            fitness=lambda block: backend.gaknn_fitness(block, pairwise_sq, scores, self.k),
             config=self.ga_config,
             seed=self.seed,
-        )
-        try:
-            best = ga.run()
-        finally:
-            # The scratch buffers only pay off across the generations of one
-            # run; dropping them here keeps a long-lived instance (e.g. held
-            # by the prediction service) from retaining one buffer set per
-            # distinct batch shape it has ever served.
-            self._fitness_scratch.clear()
+        ).run()
         # An all-zero genome would make every distance zero; fall back to
         # uniform weights, mirroring the per-cell GA.
         degenerate = ~np.any(best > 0, axis=1)

@@ -1,24 +1,32 @@
 """Pluggable array backends for the engine's dense kernels.
 
-The hottest loops of the engine — the stacked-network SGD inside
-:class:`~repro.ml.batched_mlp.BatchedMLPRegressor` and the rank-one
-leave-one-out downdating inside :class:`~repro.core.linear_predictor.
-LinearTranspositionPredictor` — are expressed here as *backend kernels*:
-coarse-grained operations an :class:`ArrayBackend` implements end to end.
-Kernel granularity (rather than op-by-op indirection) keeps the NumPy
-reference path free of per-call dispatch overhead and gives alternative
-array libraries enough work per call to amortise their own.
+The three hottest loops of the engine are expressed here as *backend
+kernels*, coarse-grained operations an :class:`ArrayBackend` implements end
+to end: the stacked-network SGD inside
+:class:`~repro.ml.batched_mlp.BatchedMLPRegressor` (``mlp_sgd``), the
+rank-one leave-one-out downdating inside
+:class:`~repro.core.linear_predictor.LinearTranspositionPredictor`
+(``nnt_downdated_statistics``), and the leave-one-out k-NN fitness of every
+genome of the lockstep GA inside :class:`~repro.baselines.ga_knn.
+BatchedGAKNN` (``gaknn_fitness``).  Kernel granularity (rather than op-by-op
+indirection) keeps the NumPy reference path free of per-call dispatch
+overhead and gives alternative implementations enough work per call to
+amortise their own.
 
 Two backends ship.  :class:`NumpyBackend` is the reference, always
 available.  Its MLP kernel is the lockstep ragged SGD pass described on
 :meth:`ArrayBackend.mlp_sgd`; every network in the stack follows bit for
 bit the trajectory it would follow if trained alone, which makes it the
 oracle against the sequential :class:`~repro.ml.mlp.MLPRegressor` (the
-equivalence suite pins this).  :class:`CompiledBackend` runs the same SGD
-loop compiled from ``_sgd.c`` with the local C compiler, built on first
-use and cached under ``$XDG_CACHE_HOME/repro`` (or ``~/.cache/repro``);
-it agrees with the reference within :data:`COMPILED_RTOL`.  A backend
-that cannot be loaded (no compiler, failed build) makes
+equivalence suite pins this); its GA-kNN kernel is bit-identical to the
+per-cell :class:`~repro.baselines.ga_knn.GAKNNBaseline` fitness whenever
+there are two or more target machines.
+:class:`CompiledBackend` runs the SGD loop and the GA-kNN fitness pass
+compiled from ``_kernels.c`` with the local C compiler, built on first use
+and cached under ``$XDG_CACHE_HOME/repro`` (or ``~/.cache/repro``).  Its
+trained weights agree with the reference within :data:`COMPILED_RTOL`; its
+GA-kNN fitness is bit-identical to it.  NNᵀ stays on NumPy in both.  A
+backend that cannot be loaded (no compiler, failed build) makes
 :func:`resolve_backend` warn once and fall back to NumPy.
 
 Selection order for every kernel consumer: an explicit ``backend=``
@@ -82,7 +90,7 @@ _SGD_CHUNK_BYTES = 1 << 16
 class ArrayBackend(Protocol):
     """The kernel surface an array backend must provide.
 
-    A backend owns two dense kernels.  Inputs and outputs are NumPy
+    A backend owns three dense kernels.  Inputs and outputs are NumPy
     arrays regardless of the backend's internal representation, so the
     callers (``repro.ml`` / ``repro.core``) never see backend-native
     tensors.
@@ -134,6 +142,24 @@ class ArrayBackend(Protocol):
         stacked downdated statistics ``(sxx, syy, sxy, mean_x, mean_y)``
         with shapes ``(rows, P)``, ``(rows, T)``, ``(rows, P, T)``,
         ``(rows, P)`` and ``(rows, T)``.
+        """
+        ...  # pragma: no cover - protocol definition
+
+    def gaknn_fitness(
+        self,
+        genomes: np.ndarray,
+        pairwise_sq: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        """Leave-one-out k-NN error of every genome of every GA-kNN cell.
+
+        *genomes* is ``(cells, pop, characteristics)`` weight vectors,
+        *pairwise_sq* the ``(cells, characteristics, B, B)`` squared
+        feature differences of each cell's B training benchmarks and
+        *scores* their ``(cells, B, targets)`` target-machine scores.
+        Returns ``(cells, pop)`` mean relative errors of predicting each
+        benchmark from its ``min(k, B - 1)`` nearest other benchmarks.
         """
         ...  # pragma: no cover - protocol definition
 
@@ -352,15 +378,158 @@ class NumpyBackend:
         loo_mean_y = (n_benchmarks * mean_y[None, :] - target[rows]) / (n_benchmarks - 1)
         return sxx, syy, sxy, loo_mean_x, loo_mean_y
 
+    def gaknn_fitness(
+        self,
+        genomes: np.ndarray,
+        pairwise_sq: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        n_cells, n_pop, n_genes = genomes.shape
+        n_benchmarks = pairwise_sq.shape[-1]
+        if (
+            pairwise_sq.shape != (n_cells, n_genes, n_benchmarks, n_benchmarks)
+            or scores.ndim != 3
+            or scores.shape[:2] != (n_cells, n_benchmarks)
+        ):
+            raise ValueError("genomes, pairwise differences and scores must share cells and sizes")
+        if n_benchmarks < 2 or k < 1:
+            raise ValueError("GA-kNN fitness needs k >= 1 and at least two benchmarks")
+        return self._gaknn_pass(genomes, pairwise_sq, scores, min(int(k), n_benchmarks - 1))
 
-#: Source of the compiled SGD loop, built on first use by :func:`_compiled_kernel`.
-_KERNEL_SOURCE = Path(__file__).with_name("_sgd.c")
+    def _gaknn_pass(
+        self,
+        genomes: np.ndarray,
+        pairwise_sq: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        """The stacked fitness pass over validated arguments (``k < B``).
 
-#: Compiler flags of the SGD loop.  ``-ffp-contract=off`` keeps every
+        One tensor pass evaluates every genome of every cell.  With two or
+        more targets, each entry is bit-identical to
+        :meth:`GAKNNBaseline._loo_fitness
+        <repro.baselines.ga_knn.GAKNNBaseline._loo_fitness>` on the
+        corresponding cell: the einsum contracts the characteristic axis
+        sequentially (matching the per-characteristic accumulation), the
+        neighbour selection reproduces the stable mergesort ordering (a
+        k-smallest partition whose boundary-tie rows fall back to the full
+        stable sort), and the k-neighbour score accumulation runs in the
+        same index order as the sequential ``einsum("nk,nkm->nm")``
+        contraction.
+        """
+        n_cells, n_pop, _ = genomes.shape
+        n_benchmarks = pairwise_sq.shape[2]
+        n_targets = scores.shape[2]
+        n_rows = n_cells * n_pop * n_benchmarks
+
+        distances = np.einsum(
+            "cpf,cfij->cpij",
+            genomes,
+            pairwise_sq,
+            out=np.empty((n_cells, n_pop, n_benchmarks, n_benchmarks)),
+        )
+        np.sqrt(distances, out=distances)
+        diagonal = np.arange(n_benchmarks)
+        # A benchmark is never its own neighbour candidate.
+        distances[:, :, diagonal, diagonal] = np.inf
+
+        # Stable k-smallest selection: partition out the k nearest, then
+        # mergesort just those candidates.  Index-sorting the candidate set
+        # first makes the mergesort tie-break (lowest index wins) match a
+        # full stable sort.
+        candidates = np.ascontiguousarray(
+            np.argpartition(distances, k - 1, axis=-1)[..., :k]
+        ).reshape(-1, k)
+        candidates.sort(axis=-1)
+        flat_dist = distances.reshape(n_rows * n_benchmarks)
+        rows = np.arange(n_rows, dtype=np.intp)[:, None]
+        row_base, sub_base = rows * n_benchmarks, rows * k
+        candidates += row_base
+        candidate_dist = flat_dist.take(candidates)
+        candidates -= row_base
+        suborder = np.argsort(candidate_dist, axis=-1, kind="mergesort")
+        suborder += sub_base
+        order = candidates.take(suborder)
+        neighbour_dist = candidate_dist.take(suborder)
+        # The candidate *set* is ambiguous exactly when distances tying the
+        # k-th smallest straddle the partition boundary; those rare rows
+        # fall back to the full stable sort.
+        boundary = neighbour_dist[:, -1].reshape(n_cells, n_pop, n_benchmarks, 1)
+        ambiguous = ((distances <= boundary).sum(axis=-1) > k).reshape(-1)
+        if ambiguous.any():
+            dist_rows = distances.reshape(-1, n_benchmarks)
+            for row in np.nonzero(ambiguous)[0]:
+                full = np.argsort(dist_rows[row], kind="mergesort")[:k]
+                order[row] = full
+                neighbour_dist[row] = dist_rows[row][full]
+        order = order.reshape(n_cells, n_pop, n_benchmarks, k)
+        neighbour_dist = neighbour_dist.reshape(n_cells, n_pop, n_benchmarks, k)
+
+        # Zero distances (duplicate feature vectors) are rare: skip the
+        # guard entirely when none exist — 1/x on the same values is the
+        # same arithmetic the guarded path performs.
+        if neighbour_dist.min() == 0.0:
+            zero = neighbour_dist == 0.0
+            inverse = 1.0 / np.where(zero, 1.0, neighbour_dist)
+            zero_rows = zero.any(axis=-1)
+        else:
+            inverse = 1.0 / neighbour_dist
+            zero_rows = None
+        # Accumulate neighbour scores in k order — the same sequential
+        # contraction order as einsum("nk,nkm->nm") in the per-cell path.
+        # Neighbour-major index copy so each gather reads a contiguous
+        # index row; the two buffers keep the loop allocation-free.
+        flat_scores = scores.reshape(n_cells * n_benchmarks, n_targets)
+        cell_offset = (np.arange(n_cells, dtype=np.intp) * n_benchmarks).reshape(
+            n_cells, 1, 1, 1
+        )
+        neighbour_major = np.ascontiguousarray(
+            (order + cell_offset).reshape(-1, k).T
+        )
+        block = (n_cells, n_pop, n_benchmarks, n_targets)
+        predicted = np.empty(block)
+        gathered = np.empty(block)
+        predicted_flat = predicted.reshape(-1, n_targets)
+        gathered_flat = gathered.reshape(-1, n_targets)
+        np.take(flat_scores, neighbour_major[0], axis=0, out=predicted_flat)
+        predicted *= inverse[..., 0, None]
+        for j in range(1, k):
+            np.take(flat_scores, neighbour_major[j], axis=0, out=gathered_flat)
+            gathered *= inverse[..., j, None]
+            predicted += gathered
+        predicted /= inverse.sum(axis=-1)[..., None]
+
+        if zero_rows is not None and zero_rows.any():
+            for c, p, i in zip(*np.nonzero(zero_rows)):
+                exact = order[c, p, i][neighbour_dist[c, p, i] == 0.0]
+                predicted[c, p, i] = scores[c][exact].mean(axis=0)
+
+        # In-place |predicted - scores| / scores, same arithmetic chain as
+        # the sequential error computation.
+        np.subtract(predicted, scores[:, None], out=predicted)
+        np.abs(predicted, out=predicted)
+        predicted /= scores[:, None]
+        return predicted.mean(axis=-1).mean(axis=-1)
+
+
+#: Source of the compiled kernels, built on first use by :func:`_compiled_library`.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+
+#: Compiler flags of the kernels.  ``-ffp-contract=off`` keeps every
 #: multiply and add separately rounded (no FMA), so ``-march=native``
-#: vectorises without changing the bits; ``-ffast-math`` would reorder the
-#: arithmetic and is never used.
-_KERNEL_FLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+#: vectorises without changing the bits; ``-fno-math-errno`` lets ``sqrt``
+#: vectorise (it is correctly rounded either way); ``-ffast-math`` would
+#: reorder the arithmetic and is never used.
+_KERNEL_FLAGS = (
+    "-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared",
+)
+
+#: Rows the compiled GA-kNN kernel evaluates at once (``LANES`` in
+#: ``_kernels.c``), and the largest benchmark or target count it takes
+#: (``MAX_EXTENT``): NumPy sums up to 128 terms in one pairwise block.
+_GAKNN_LANES = 8
+_GAKNN_MAX_EXTENT = 128
 
 
 def _host_cpu() -> str:
@@ -394,8 +563,8 @@ def _cache_dir() -> str | None:
 
 
 @functools.cache
-def _compiled_kernel():
-    """The compiled ``mlp_sgd`` loop as a ctypes function, or ``None``.
+def _compiled_library():
+    """The compiled kernels as a loaded ctypes library, or ``None``.
 
     Built with the ``cc`` on ``PATH`` once per cache key — a digest of the
     source, the flags, the compiler's identity and the host CPU — into
@@ -424,7 +593,7 @@ def _compiled_kernel():
             identity.encode(), _host_cpu().encode(),
         ):
             key.update(part + b"\0")
-        library = os.path.join(directory, f"_sgd-{key.hexdigest()[:32]}.so")
+        library = os.path.join(directory, f"_kernels-{key.hexdigest()[:32]}.so")
         if not os.path.exists(library):
             handle, partial = tempfile.mkstemp(suffix=".so", dir=directory)
             os.close(handle)
@@ -437,44 +606,53 @@ def _compiled_kernel():
             finally:
                 if os.path.exists(partial):
                     os.unlink(partial)
-        kernel = ctypes.CDLL(library).mlp_sgd
+        loaded = ctypes.CDLL(library)
     except (OSError, subprocess.SubprocessError):
         return None
     finally:
         if private and directory is not None:
             shutil.rmtree(directory, ignore_errors=True)
-    kernel.argtypes = (
+    loaded.mlp_sgd.argtypes = (
         [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 13 + [ctypes.c_double] * 3 + [ctypes.c_void_p]
     )
-    kernel.restype = None
-    return kernel
+    loaded.mlp_sgd.restype = None
+    loaded.gaknn_fitness.argtypes = [ctypes.c_int64] * 6 + [ctypes.c_void_p] * 5
+    loaded.gaknn_fitness.restype = ctypes.c_int
+    return loaded
 
 
 class CompiledBackend(NumpyBackend):
-    """The MLP SGD loop compiled from ``_sgd.c``; NNᵀ stays on NumPy.
+    """The MLP SGD loop and GA-kNN fitness compiled from ``_kernels.c``.
 
-    Inherits :meth:`NumpyBackend.mlp_sgd`'s argument validation and
-    replaces only the inner loop, which runs network-major in C with the
-    GIL released.  Each element follows the NumPy loop's operation order,
-    but dot products are summed sequentially (NumPy calls BLAS) and
-    ``exp`` is the C library's, so trained weights agree with the NumPy
-    reference within a declared tolerance (:data:`COMPILED_RTOL`), not bit
-    for bit.  A network's weights still do not depend on which other
-    networks share its stack.  Available when a C compiler is on ``PATH``
-    and the build succeeds.
+    Inherits the NumPy kernels' argument validation and replaces only the
+    inner passes, which run in C with the GIL released; NNᵀ stays on NumPy.
+
+    * ``mlp_sgd`` runs network-major.  Each element follows the NumPy
+      loop's operation order, but dot products are summed sequentially
+      (NumPy calls BLAS) and ``exp`` is the C library's, so trained weights
+      agree with the NumPy reference within a declared tolerance
+      (:data:`COMPILED_RTOL`), not bit for bit.  A network's weights still
+      do not depend on which other networks share its stack.
+    * ``gaknn_fitness`` is bit-identical to the NumPy pass: the same
+      sequential distance accumulation, stable k-smallest selection and
+      exact-match mean, and NumPy's own pairwise order wherever NumPy sums
+      pairwise.  Benchmark or target counts above 128, NaN distances and
+      rows short of k finite neighbours run the NumPy pass instead.
+
+    Available when a C compiler is on ``PATH`` and the build succeeds.
     """
 
     name = "compiled"
 
     def __init__(self) -> None:
-        self._kernel = _compiled_kernel()
-        if self._kernel is None:
-            raise RuntimeError("the compiled SGD kernel cannot be built (no `cc` on PATH?)")
+        self._library = _compiled_library()
+        if self._library is None:
+            raise RuntimeError("the compiled kernels cannot be built (no `cc` on PATH?)")
 
     @staticmethod
     def is_available() -> bool:
-        """Whether the kernel is built and loaded (builds it on first call)."""
-        return _compiled_kernel() is not None
+        """Whether the kernels are built and loaded (builds them on first call)."""
+        return _compiled_library() is not None
 
     def _sgd_loop(
         self,
@@ -506,12 +684,37 @@ class CompiledBackend(NumpyBackend):
             np.ascontiguousarray(order_of, dtype=np.int64),
         )
         scratch = np.empty(2 * n_hidden)
-        self._kernel(
+        self._library.mlp_sgd(
             n_networks, n_features, n_hidden, *shuffle_orders.shape,
             *(buffer.ctypes.data for buffer in buffers),
             lr, momentum, clip, scratch.ctypes.data,
         )
         return weights
+
+    def _gaknn_pass(
+        self,
+        genomes: np.ndarray,
+        pairwise_sq: np.ndarray,
+        scores: np.ndarray,
+        k: int,
+    ) -> np.ndarray:
+        n_cells, n_pop, n_genes = genomes.shape
+        n_benchmarks, n_targets = scores.shape[1:]
+        if n_genes >= 1 and 1 <= n_targets and max(n_benchmarks, n_targets) <= _GAKNN_MAX_EXTENT:
+            buffers = tuple(
+                np.ascontiguousarray(a, dtype=np.float64) for a in (genomes, pairwise_sq, scores)
+            )
+            fitness = np.empty((n_cells, n_pop))
+            padded = -(-n_benchmarks // _GAKNN_LANES) * _GAKNN_LANES
+            scratch = np.empty((n_genes + 1) * n_benchmarks * padded + _GAKNN_LANES)
+            status = self._library.gaknn_fitness(
+                n_cells, n_pop, n_genes, n_benchmarks, n_targets, k,
+                *(buffer.ctypes.data for buffer in buffers),
+                fitness.ctypes.data, scratch.ctypes.data,
+            )
+            if status == 0:
+                return fitness
+        return super()._gaknn_pass(genomes, pairwise_sq, scores, k)
 
 
 #: Known backends, by configuration name.

@@ -398,7 +398,10 @@ def _make_gaknn(params: MethodParams) -> "RankingMethod":
     from repro.baselines.ga_knn import BatchedGAKNN
 
     return BatchedGAKNN(
-        k=params.knn_neighbours, ga_config=params.ga_config(), seed=params.seed
+        k=params.knn_neighbours,
+        ga_config=params.ga_config(),
+        seed=params.seed,
+        backend=params.backend,
     )
 
 
@@ -463,9 +466,10 @@ register_method(
 register_method(
     "GA-kNN",
     _make_gaknn,
-    ["batched"],
+    ["batched", "backend"],
     description="Hoste et al. prior art; all per-cell GAs evolved in "
-    "lockstep with one stacked LOO-fitness tensor pass per generation",
+    "lockstep with one stacked LOO-fitness pass per generation on the "
+    "backend kernel",
     fallback="NN^T",
 )
 register_method(

@@ -397,9 +397,12 @@ async def _drive_connection(
             for task in pending:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
-            for task in done:
-                if task.exception() is not None:
-                    raise task.exception()
+            # Retrieve every finished task's exception (a drop often fails
+            # both at once), then raise the first.
+            errors = [task.exception() for task in done]
+            for error in errors:
+                if error is not None:
+                    raise error
         except (OSError, ConnectionError):
             await close()
             if reconnects_left <= 0:

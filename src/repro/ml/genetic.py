@@ -19,13 +19,18 @@ Two drivers share that machinery:
   fitness values (hence parent selection) differ.  The lockstep driver
   draws each random quantity once, applies it to all S populations with
   vectorised arithmetic, and evaluates fitness as one stacked call —
-  bit-identical per problem to S sequential runs.
+  bit-identical per problem to S sequential runs.  None of the draws depend
+  on fitness, so the whole schedule (initial population plus every
+  generation's breeding plan) is drawn once per ``(seed, config, genome
+  length)`` and shared by every lockstep run that asks for it, e.g. the GAs
+  of every cross-validation split.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,6 +74,60 @@ class GAConfig:
             raise ValueError("elitism must be in [0, population_size)")
         if self.upper_bound <= self.lower_bound:
             raise ValueError("upper_bound must exceed lower_bound")
+
+
+def _draw_breeding_plan(
+    rng: np.random.Generator, cfg: GAConfig, genes: int, n_children: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All random draws for one generation's children, in stream order.
+
+    Returns ``(contenders, crossed, mix, mutation)`` where *contenders*
+    is ``(children, 2, tournament)`` parent-candidate indices, *crossed*
+    flags which children blend both parents, *mix* holds the blend
+    coefficients (rows of un-crossed children are unused), and
+    *mutation* is the ``mask * noise`` perturbation per child.  The
+    draws happen child by child in exactly the order the sequential
+    loop consumes them, so the shared stream stays aligned; only the
+    arithmetic that *applies* them is vectorised by the caller.
+    """
+    contenders = np.empty((n_children, 2, cfg.tournament_size), dtype=np.intp)
+    crossed = np.empty(n_children, dtype=bool)
+    mix = np.empty((n_children, genes))
+    mutation = np.empty((n_children, genes))
+    for child in range(n_children):
+        contenders[child, 0] = rng.integers(0, cfg.population_size, size=cfg.tournament_size)
+        contenders[child, 1] = rng.integers(0, cfg.population_size, size=cfg.tournament_size)
+        crossed[child] = rng.uniform() < cfg.crossover_rate
+        if crossed[child]:
+            mix[child] = rng.uniform(0.0, 1.0, size=genes)
+        else:
+            # No draw for un-crossed children (stream alignment); the
+            # zero fill is arithmetic padding np.where discards.
+            mix[child] = 0.0
+        mask = rng.uniform(size=genes) < cfg.mutation_rate
+        noise = rng.normal(0.0, cfg.mutation_scale, size=genes)
+        mutation[child] = mask * noise
+    return contenders, crossed, mix, mutation
+
+
+@functools.lru_cache(maxsize=32)
+def _random_schedule(seed: int, cfg: GAConfig, genes: int) -> tuple[np.ndarray, tuple]:
+    """The whole random stream of a seeded GA run: ``(population, plans)``.
+
+    *population* is the ``(pop, genes)`` initial population and *plans*
+    one :func:`_draw_breeding_plan` per generation, drawn from one
+    ``default_rng(seed)`` in the order a sequential run consumes them.
+    Cached and read-only, so every run with the same arguments shares it.
+    """
+    rng = np.random.default_rng(seed)
+    population = rng.uniform(cfg.lower_bound, cfg.upper_bound, size=(cfg.population_size, genes))
+    n_children = cfg.population_size - cfg.elitism
+    plans = tuple(
+        _draw_breeding_plan(rng, cfg, genes, n_children) for _ in range(cfg.generations)
+    )
+    for array in (population, *(array for plan in plans for array in plan)):
+        array.setflags(write=False)
+    return population, plans
 
 
 class GeneticAlgorithm:
@@ -214,7 +273,7 @@ class LockstepGeneticAlgorithm:
         self.fitness = fitness
         self.config = config or GAConfig()
         self.config.validate()
-        self._rng = np.random.default_rng(seed)
+        self.seed = int(seed)
         self.best_genomes_: np.ndarray | None = None
         self.best_fitnesses_: np.ndarray | None = None
         self.history_: list[np.ndarray] = []
@@ -229,69 +288,26 @@ class LockstepGeneticAlgorithm:
             )
         return values
 
-    def _draw_breeding_plan(
-        self, n_children: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All random draws for one generation's children, in stream order.
-
-        Returns ``(contenders, crossed, mix, mutation)`` where *contenders*
-        is ``(children, 2, tournament)`` parent-candidate indices, *crossed*
-        flags which children blend both parents, *mix* holds the blend
-        coefficients (rows of un-crossed children are unused), and
-        *mutation* is the ``mask * noise`` perturbation per child.  The
-        draws happen child by child in exactly the order the sequential
-        loop consumes them, so the shared stream stays aligned; only the
-        arithmetic that *applies* them is vectorised by the caller.
-        """
-        cfg = self.config
-        rng = self._rng
-        genes = self.genome_length
-        contenders = np.empty((n_children, 2, cfg.tournament_size), dtype=np.intp)
-        crossed = np.empty(n_children, dtype=bool)
-        mix = np.empty((n_children, genes))
-        mutation = np.empty((n_children, genes))
-        for child in range(n_children):
-            contenders[child, 0] = rng.integers(
-                0, cfg.population_size, size=cfg.tournament_size
-            )
-            contenders[child, 1] = rng.integers(
-                0, cfg.population_size, size=cfg.tournament_size
-            )
-            crossed[child] = rng.uniform() < cfg.crossover_rate
-            if crossed[child]:
-                mix[child] = rng.uniform(0.0, 1.0, size=genes)
-            else:
-                # No draw for un-crossed children (stream alignment); the
-                # zero fill is arithmetic padding np.where discards.
-                mix[child] = 0.0
-            mask = rng.uniform(size=genes) < cfg.mutation_rate
-            noise = rng.normal(0.0, cfg.mutation_scale, size=genes)
-            mutation[child] = mask * noise
-        return contenders, crossed, mix, mutation
-
     # ------------------------------------------------------------------- run
     def run(self) -> np.ndarray:
         """Evolve all problems and return the ``(S, genes)`` best genomes."""
         cfg = self.config
-        rng = self._rng
         n_problems = self.n_problems
         pop_size = cfg.population_size
         problem_index = np.arange(n_problems)
         span = cfg.upper_bound - cfg.lower_bound
+        initial, plans = _random_schedule(self.seed, cfg, self.genome_length)
 
         # All problems start from the same seed, hence the same population.
         population = np.broadcast_to(
-            rng.uniform(
-                cfg.lower_bound, cfg.upper_bound, size=(pop_size, self.genome_length)
-            ),
-            (n_problems, pop_size, self.genome_length),
+            initial, (n_problems, pop_size, self.genome_length)
         ).copy()
         fitnesses = self._evaluate(population)
         best_fitness = np.full(n_problems, np.inf)
         best_genome = np.empty((n_problems, self.genome_length))
         self.history_ = []
 
-        for _ in range(cfg.generations):
+        for contenders, crossed, mix, mutation in plans:
             best_idx = np.argmin(fitnesses, axis=1)
             generation_best = fitnesses[problem_index, best_idx]
             improved = generation_best < best_fitness
@@ -311,11 +327,9 @@ class LockstepGeneticAlgorithm:
                 fitnesses, elite_order, axis=1
             )
 
-            # Draw child by child (stream order), apply vectorised: every
+            # Drawn child by child (stream order), applied vectorised: every
             # elementwise step below reproduces the sequential per-child
             # arithmetic, just over a (problems, children, genes) block.
-            n_children = pop_size - cfg.elitism
-            contenders, crossed, mix, mutation = self._draw_breeding_plan(n_children)
             # np.argmin keeps the first minimum, matching the sequential
             # ``contenders[np.argmin(fitnesses[contenders])]`` tie-breaking.
             winner = np.argmin(fitnesses[:, contenders], axis=-1)  # (S, children, 2)

@@ -249,9 +249,9 @@ class ResilientBackend:
     second implementation, so one fault in the compiled kernel cannot take
     down both; its answers equal the primary's within the declared
     tolerance (:data:`~repro.core.backends.COMPILED_RTOL`), and bit for
-    bit when the primary is NumPy.  The fault injector's ``backend_error``
-    and ``latency`` seams fire on the primary path only, so the degraded
-    path stays clean.
+    bit for the GA-kNN fitness or when the primary is NumPy.  The fault
+    injector's ``backend_error`` and ``latency`` seams fire on the primary
+    path only, so the degraded path stays clean.
 
     Implements the :class:`~repro.core.backends.ArrayBackend` protocol, so
     an instance slots anywhere a backend name would
@@ -348,6 +348,10 @@ class ResilientBackend:
     def nnt_downdated_statistics(self, pred, target, rows):
         """Leave-one-out statistics kernel, degraded to the reference."""
         return self._kernel("nnt_downdated_statistics", pred, target, rows)
+
+    def gaknn_fitness(self, genomes, pairwise_sq, scores, k):
+        """GA-kNN fitness kernel, degraded to the reference (same bits)."""
+        return self._kernel("gaknn_fitness", genomes, pairwise_sq, scores, k)
 
     def snapshot(self) -> dict:
         """Breaker state + call routing counters (the ``health`` verb)."""

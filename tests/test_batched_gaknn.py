@@ -13,7 +13,9 @@ import pytest
 
 from repro.baselines.ga_knn import BatchedGAKNN, GAKNNBaseline
 from repro.core import predict_split_scores, supports_batched_prediction
+from repro.core.backends import available_backends
 from repro.data import build_default_dataset, family_cross_validation_splits
+from repro.ml import genetic
 from repro.ml.genetic import GAConfig, GeneticAlgorithm, LockstepGeneticAlgorithm
 
 SMALL_GA = GAConfig(population_size=8, generations=3)
@@ -77,6 +79,29 @@ def test_lockstep_ga_matches_independent_sequential_runs():
         )
 
 
+def test_lockstep_ga_shares_one_random_schedule_per_seed():
+    """The random schedule does not depend on fitness: runs with the same
+    seed, config and genome length draw it once and share it read-only."""
+    config = GAConfig(population_size=6, generations=2)
+    genetic._random_schedule.cache_clear()
+    runs = [
+        LockstepGeneticAlgorithm(
+            n_problems=n_problems,
+            genome_length=4,
+            fitness=lambda block: block.sum(axis=2),
+            config=config,
+            seed=11,
+        ).run()
+        for n_problems in (1, 3)
+    ]
+    assert genetic._random_schedule.cache_info().misses == 1
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    population, plans = genetic._random_schedule(11, config, 4)
+    assert len(plans) == config.generations
+    assert not population.flags.writeable
+    assert not any(array.flags.writeable for plan in plans for array in plan)
+
+
 def test_lockstep_ga_validates_fitness_shape():
     bad = LockstepGeneticAlgorithm(
         n_problems=2,
@@ -105,20 +130,26 @@ def test_batched_gaknn_bit_identical_on_one_split_all_applications(dataset, spli
 
 
 def test_batched_gaknn_bit_identical_across_all_family_splits(dataset, splits):
-    """Acceptance: bit-identical to the sequential baseline on all 17 splits."""
+    """Acceptance: bit-identical to the sequential baseline on all 17 splits,
+    with the fitness on every available backend."""
     assert len(splits) == 17
+    backends = available_backends()
+    assert "numpy" in backends
     applications = ["leslie3d", "gcc", "namd"]  # outlier + typical int/fp codes
     for split in splits:
         expected = _sequential_scores(
             dataset, split, applications, k=10, ga_config=SMALL_GA, seed=0
         )
-        batched = BatchedGAKNN(
-            k=10, ga_config=SMALL_GA, seed=0
-        ).predict_all_applications(dataset, split, applications)
-        for application in applications:
-            np.testing.assert_array_equal(
-                batched[application], expected[application], err_msg=split.name
-            )
+        for backend in backends:
+            batched = BatchedGAKNN(
+                k=10, ga_config=SMALL_GA, seed=0, backend=backend
+            ).predict_all_applications(dataset, split, applications)
+            for application in applications:
+                np.testing.assert_array_equal(
+                    batched[application],
+                    expected[application],
+                    err_msg=f"{split.name} on {backend}",
+                )
 
 
 def test_batched_gaknn_seed_and_k_sensitivity_matches_sequential(dataset, splits):

@@ -159,6 +159,7 @@ def test_standard_methods_forward_backend_selection():
     methods = standard_methods(config, backend="numpy")
     assert methods[NNT].backend == "numpy"
     assert methods[MLPT].backend == "numpy"
+    assert methods[GAKNN].backend == "numpy"
 
 
 # ------------------------------------------------------------------ discovery

@@ -18,6 +18,7 @@ from repro.loadgen import (
     MIXES,
     LoadReport,
     QueryMix,
+    _drive_connection,
     build_schedule,
     main,
     percentile,
@@ -169,6 +170,53 @@ def test_run_load_against_live_server_reconciles_with_metrics(dataset):
     json.dumps(payload)
     assert payload["cache_hit_rate"] == 1.0
     assert payload["error_total"] == 0
+
+
+def test_dropped_connection_leaves_no_task_exception_unretrieved():
+    """A server drop fails the sender and the receiver at once; both
+    exceptions must be retrieved, or asyncio reports "Task exception was
+    never retrieved" when the task is finalised."""
+
+    async def drop_mid_pipeline(drops):
+        reported = []
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(lambda loop, context: reported.append(context["message"]))
+        tasks = []
+
+        def record(loop, coro, **kwargs):
+            tasks.append(asyncio.Task(coro, loop=loop, **kwargs))
+            return tasks[-1]
+
+        async def drop(reader, writer):
+            await asyncio.sleep(0.05)  # the client is now blocked on a full pipe
+            writer.transport.abort()
+
+        # Which of the two exceptions asyncio.wait has already retrieved
+        # varies from drop to drop, so drop several times.
+        line = b"x" * 65536
+        for _ in range(drops):
+            server = await asyncio.start_server(drop, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            events = [(0.0, index, line) for index in range(256)]
+            outcomes = [None] * len(events)
+            stats = {"resent": 0, "reconnects": 0}
+            async with server:
+                loop.set_task_factory(record)
+                try:
+                    await _drive_connection(
+                        "127.0.0.1", port, events, outcomes, loop.time(), stats, 0
+                    )
+                finally:
+                    loop.set_task_factory(None)
+            assert all(not outcome.ok and outcome.code is None for outcome in outcomes)
+        # Run every task's finaliser now rather than whenever the garbage
+        # collector gets to it: it is what reports an unretrieved exception.
+        for task in tasks:
+            assert task.done()
+            task.__del__()
+        return reported
+
+    assert asyncio.run(drop_mid_pipeline(drops=8)) == []
 
 
 # ------------------------------------------------------------------------- CLI

@@ -199,6 +199,10 @@ class _ExplodingBackend:
         self.calls += 1
         raise RuntimeError("kernel exploded")
 
+    def gaknn_fitness(self, genomes, pairwise_sq, scores, k):
+        self.calls += 1
+        raise RuntimeError("kernel exploded")
+
 
 def test_resilient_backend_degrades_bit_exactly_on_primary_failure():
     rng = np.random.default_rng(0)
@@ -214,6 +218,27 @@ def test_resilient_backend_degrades_bit_exactly_on_primary_failure():
     for got, want in zip(degraded, reference):
         np.testing.assert_array_equal(got, want)
     assert backend.fallback_calls == 1 and backend.primary_calls == 0
+
+
+def test_resilient_backend_routes_gaknn_fitness_bit_exactly():
+    rng = np.random.default_rng(4)
+    features = rng.normal(size=(2, 9, 3))
+    pairwise_sq = np.ascontiguousarray(
+        ((features[:, :, None, :] - features[:, None, :, :]) ** 2).transpose(0, 3, 1, 2)
+    )
+    genomes = rng.uniform(size=(2, 5, 3))
+    scores = rng.uniform(0.5, 2.0, size=(2, 9, 4))
+    reference = NumpyBackend().gaknn_fitness(genomes, pairwise_sq, scores, 4)
+    healthy = ResilientBackend()  # the default primary: compiled when cc works
+    np.testing.assert_array_equal(
+        healthy.gaknn_fitness(genomes, pairwise_sq, scores, 4), reference
+    )
+    assert healthy.primary_calls == 1
+    failing = ResilientBackend(primary=_ExplodingBackend())
+    np.testing.assert_array_equal(
+        failing.gaknn_fitness(genomes, pairwise_sq, scores, 4), reference
+    )
+    assert failing.fallback_calls == 1 and failing.primary_calls == 0
 
 
 def test_resilient_backend_protects_mlp_weights_from_failed_primary():
